@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--transactions", type=int, default=1500,
                        help="size of the generated market-basket database")
     query.add_argument("--seed", type=int, default=7)
-    query.add_argument("--pairs", type=int, default=10,
+    query.add_argument("--pairs", type=_non_negative_int, default=10,
                        help="how many valid pairs to print")
     query.add_argument("--explain", action="store_true",
                        help="print the execution plan and operation counts")
@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--transactions", type=int, default=1500,
                        help="size of the generated market-basket database")
     batch.add_argument("--seed", type=int, default=7)
-    batch.add_argument("--pairs", type=int, default=3,
+    batch.add_argument("--pairs", type=_non_negative_int, default=3,
                        help="how many valid pairs to print per query")
     batch.add_argument("--backend", default="hybrid", metavar="BACKEND",
                        help="support-counting backend (as in 'query')")
@@ -307,6 +307,13 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--report-out", metavar="PATH", default=None,
                         help="write the replay report JSON to PATH")
     return parser
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _resolve_backend(name: str, workers: Optional[int]):

@@ -42,16 +42,23 @@ Threshold rescaling
 -------------------
 Relative minsups resolve through ``db.min_count(minsup) =
 ceil(minsup * len(db))``, so ``len(db)`` changes move every query's
-absolute threshold.  :func:`scaled_min_count` picks the largest new
-threshold that still serves every relative minsup the base skeleton
-served: the base skeleton (threshold ``m`` over ``n`` transactions)
-serves exactly the minsups with ``minsup > (m - 1) / n``; for those,
-``ceil(minsup * n') > (m - 1) * n' / n``, hence
-``ceil(minsup * n') >= floor((m - 1) * n' / n) + 1`` — the returned
-value.  Serving guarantees therefore survive churn with no spurious
-cold rebuilds, while a *stale* skeleton can never serve at all: the
-skeleton tier is keyed by dataset fingerprint, so the old entry is
-unreachable under the new dataset and only the re-keyed refreshed
+absolute threshold.  A cold-built skeleton (threshold ``m0`` over ``n0``
+transactions) serves exactly the minsups with ``minsup > (m0 - 1) / n0``
+— its *served floor*, recorded exactly as a ``Fraction`` on
+:class:`~repro.serve.skeleton.Skeleton`.  Every refresh keeps that floor
+``f`` and derives its threshold from it: for ``minsup > f``,
+``ceil(minsup * n') > f * n'``, hence ``ceil(minsup * n') >=
+floor(f * n') + 1`` — the refreshed threshold, the largest one that
+still serves every minsup above the floor.  Serving guarantees
+therefore survive churn with no spurious cold rebuilds, and because the
+floor never changes the threshold cannot drift: rescaling the previous,
+already-rounded threshold instead (:func:`scaled_min_count`, exact for
+one step) rounds down again on every step, so alternating appends and
+deletes would lower it by one per pair of writes and grow the skeleton
+without bound.  A refresh at an explicit ``min_count`` starts a new
+floor, ``(min_count - 1) / n'``.  A *stale* skeleton can never serve at
+all: the skeleton tier is keyed by dataset fingerprint, so the old entry
+is unreachable under the new dataset and only the re-keyed refreshed
 skeleton answers.
 
 The L1-dependent engine inputs — quasi-succinct reduction constants and
@@ -66,6 +73,7 @@ pure arithmetic and no bound can move at level 1).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -179,8 +187,9 @@ def refresh_skeleton(
 ) -> Tuple[Skeleton, SkeletonRefreshStats]:
     """Migrate one skeleton across a delta (see module docstring).
 
-    ``min_count`` defaults to :func:`scaled_min_count`, preserving every
-    relative-minsup serving guarantee; pass an explicit value to also
+    ``min_count`` defaults to the threshold of the skeleton's served
+    floor over ``new_db``, preserving every relative-minsup serving
+    guarantee without drift; pass an explicit value to also
     strengthen/weaken the skeleton while migrating.  Raises
     :class:`~repro.errors.ExecutionError` when the skeleton does not
     describe the delta's base dataset or lacks a live domain reference;
@@ -202,13 +211,16 @@ def refresh_skeleton(
             "rebuild cold instead"
         )
     start = time.perf_counter()
-    m_new = (
-        min_count
-        if min_count is not None
-        else scaled_min_count(
+    floor = None
+    if min_count is not None:
+        m_new = min_count
+    elif skeleton.served_floor is not None:
+        floor = skeleton.served_floor
+        m_new = max(1, math.floor(floor * len(new_db)) + 1)
+    else:  # mined over an empty dataset: no floor yet
+        m_new = scaled_min_count(
             skeleton.min_count, skeleton.n_transactions, len(new_db)
         )
-    )
     counters = OpCounters()
 
     # ------------------------------------------------------------------
@@ -318,6 +330,7 @@ def refresh_skeleton(
         nbytes=_approx_bytes(supports) + _approx_bytes(border),
         mining_counters=counters,
         domain_ref=domain,
+        served_floor=floor,
     )
     stats = SkeletonRefreshStats(
         domain=skeleton.domain,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from repro.core.query import CFQ
@@ -84,6 +85,16 @@ class Skeleton:
     #: memory-tier only, so holding the (immutable) domain is safe; the
     #: churn refresher needs it to project delta transactions.
     domain_ref: object = None
+    #: The relative minsups this skeleton was built to serve are exactly
+    #: those above ``served_floor``, ``(m0 - 1) / n0`` of the cold build
+    #: (threshold ``m0`` over ``n0`` transactions).  Refreshes under churn
+    #: inherit it unchanged and derive their threshold from it, so the
+    #: threshold does not drift (see :mod:`repro.serve.delta`).
+    served_floor: Optional[Fraction] = None
+
+    def __post_init__(self) -> None:
+        if self.served_floor is None and self.n_transactions > 0:
+            self.served_floor = Fraction(self.min_count - 1, self.n_transactions)
 
     def serves(self, min_count: int) -> bool:
         """Whether this skeleton can answer a query at ``min_count``."""

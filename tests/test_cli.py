@@ -110,6 +110,22 @@ def test_query_parallel_matches_hybrid(capsys):
     assert parallel_out == hybrid_out
 
 
+def test_query_pairs_zero_prints_no_pairs(capsys):
+    code = main(["query", QUERY, "--transactions", "200", "--pairs", "0"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "first 0 valid pairs:" in out
+    assert "  S=" not in out
+
+
+@pytest.mark.parametrize("command", ["query", "batch"])
+def test_negative_pairs_rejected(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, QUERY, "--pairs", "-1"])
+    assert info.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_query_invalid_worker_count(capsys, workers):
     code = main(

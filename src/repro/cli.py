@@ -483,8 +483,9 @@ def _churn_transactions(db, n: int, rng) -> List[tuple]:
     """``n`` synthetic transactions drawn from the database's own item
     universe and length distribution, so appended rows look like the
     workload instead of shifting every support toward zero."""
-    universe = sorted({item for t in db.transactions for item in t})
-    lengths = [len(t) for t in db.transactions if t] or [1]
+    universe = sorted(db.item_universe())
+    lengths = db.columns().lengths()
+    lengths = lengths[lengths > 0].tolist() or [1]
     return [
         tuple(sorted(rng.sample(universe, min(rng.choice(lengths),
                                               len(universe)))))

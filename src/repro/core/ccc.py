@@ -96,7 +96,7 @@ class _Oracle:
         self.eligible_partners: Dict[str, List[Itemset]] = {}
         for var in cfq.variables:
             domain = cfq.domains[var]
-            projected = [domain.project(t) for t in db.transactions]
+            projected = domain.project_columns(db.columns())
             result = mine_frequent(
                 projected,
                 domain.elements,

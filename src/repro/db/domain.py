@@ -10,7 +10,8 @@ captures a variable's range:
 * ``catalog`` — attributes of those elements (``Price``, ``Type``, ...);
 * ``project(transaction)`` — how a raw transaction (a set of item ids)
   induces a set of domain elements, which is what frequency counting
-  operates on.
+  operates on; ``project_columns`` does the same for a whole
+  :class:`~repro.db.columns.TransactionColumns` layout at once.
 
 Two kinds of domain are provided: item domains (identity projection,
 optionally restricted to a segment of the item universe) and derived
@@ -22,7 +23,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.db.catalog import AttrValue, ItemCatalog
+from repro.db.columns import TransactionColumns
 from repro.errors import DataError
 
 
@@ -93,6 +97,29 @@ class Domain:
             return tuple(sorted(self._membership.intersection(transaction)))
         projected = {mapping[i] for i in transaction if i in mapping}
         return tuple(sorted(projected))
+
+    def project_columns(self, columns: TransactionColumns) -> TransactionColumns:
+        """Project every transaction of ``columns`` at once.
+
+        Row for row equal to ``[self.project(t) for t in columns]``: an
+        item domain keeps the items its membership mask admits; a derived
+        domain maps items through a lookup array over the layout's
+        vocabulary, then sorts and deduplicates each row.
+        """
+        vocab = columns.vocab.tolist()
+        mapping = self._item_to_element
+        if mapping is None:
+            return columns.restrict(
+                np.fromiter((i in self._membership for i in vocab),
+                            dtype=bool, count=len(vocab))
+            )
+        mapped = np.fromiter((i in mapping for i in vocab), dtype=bool,
+                             count=len(vocab))
+        element_of_code = np.fromiter(
+            (mapping.get(i, 0) for i in vocab), dtype=np.int64,
+            count=len(vocab),
+        )
+        return columns.relabel(element_of_code, mapped)
 
     def element_value(self, element_id: int) -> AttrValue:
         """The identity value of an element (the item id itself for item

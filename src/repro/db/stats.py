@@ -580,6 +580,10 @@ class CacheStats:
     bytes_held: int = 0
     #: disk-tier I/O failures absorbed by the degradation ladder
     disk_errors: int = 0
+    #: failed disk attempts that a retry followed; an operation whose
+    #: retries all fail also counts one ``disk_errors``, one whose retry
+    #: succeeds counts only here
+    disk_retries: int = 0
     #: corrupt disk artifacts renamed aside (never re-read)
     quarantined: int = 0
     _lock: threading.Lock = field(
@@ -644,6 +648,7 @@ class CacheStats:
             "skeleton_refreshes": self.skeleton_refreshes,
             "bytes_held": self.bytes_held,
             "disk_errors": self.disk_errors,
+            "disk_retries": self.disk_retries,
             "quarantined": self.quarantined,
         }
 
@@ -666,6 +671,7 @@ class CacheStats:
             "skeleton_refreshes",
             "bytes_held",
             "disk_errors",
+            "disk_retries",
             "quarantined",
         ):
             if name in document:
@@ -692,9 +698,10 @@ class CacheStats:
             )
             if d["skeleton_refreshes"]:
                 text += f", {d['skeleton_refreshes']} refresh(es)"
-        if d["disk_errors"] or d["quarantined"]:
+        if d["disk_errors"] or d["disk_retries"] or d["quarantined"]:
             text += (
                 f"; disk: {d['disk_errors']} error(s), "
+                f"{d['disk_retries']} retried, "
                 f"{d['quarantined']} quarantined"
             )
         return text

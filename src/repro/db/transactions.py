@@ -4,12 +4,17 @@ Transactions are stored as sorted tuples of int item ids.  The class keeps
 its own :class:`~repro.db.stats.ScanStats` and offers :meth:`scan`, a
 generator that records one database pass per full iteration — mining
 strategies use it so the dovetailing experiments can report scan savings.
+:meth:`columns` is the same content in columnar (CSR) form, which every
+counting, projection and trimming pass works on.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.db.columns import TransactionColumns
 from repro.db.delta import DatasetDelta, make_delta
 from repro.db.digest import transactions_digest
 from repro.db.stats import ScanStats
@@ -43,6 +48,7 @@ class TransactionDatabase:
         #: Monotonic churn counter: 0 for a freshly built database,
         #: parent + 1 for databases produced by :meth:`append`/:meth:`delete`.
         self.version = 0
+        self._columns: Optional[TransactionColumns] = None
 
     @classmethod
     def _from_normalized(
@@ -53,6 +59,7 @@ class TransactionDatabase:
         db._transactions = transactions
         db.stats = ScanStats()
         db.version = version
+        db._columns = None
         return db
 
     # ------------------------------------------------------------------
@@ -80,12 +87,22 @@ class TransactionDatabase:
         """
         return self._transactions
 
+    def columns(self) -> TransactionColumns:
+        """The transactions in columnar (CSR) form.
+
+        Built on first call and cached on the database: the content is
+        immutable, so the layout (and the bitmaps later derived from it)
+        lives and dies with this object.
+        """
+        if self._columns is None:
+            self._columns = TransactionColumns.from_transactions(
+                self._transactions
+            )
+        return self._columns
+
     def item_universe(self) -> frozenset:
         """All item ids occurring in any transaction."""
-        universe = set()
-        for t in self._transactions:
-            universe.update(t)
-        return frozenset(universe)
+        return frozenset(self.columns().vocab.tolist())
 
     # ------------------------------------------------------------------
     # Scanning
@@ -112,14 +129,18 @@ class TransactionDatabase:
         infrequent items can never contribute to a frequent set, so
         dropping them shrinks every later scan.
         """
-        keep = frozenset(keep_items)
-        return TransactionDatabase(
-            tuple(i for i in t if i in keep) for t in self._transactions
-        )
+        columns = self.columns()
+        return self._from_columns(columns.restrict(columns.vocab_mask(keep_items)))
 
     def projected(self, domain) -> "TransactionDatabase":
         """Project every transaction through a :class:`~repro.db.domain.Domain`."""
-        return TransactionDatabase(domain.project(t) for t in self._transactions)
+        return self._from_columns(domain.project_columns(self.columns()))
+
+    @classmethod
+    def _from_columns(cls, columns: TransactionColumns) -> "TransactionDatabase":
+        db = cls._from_normalized(tuple(columns), 0)
+        db._columns = columns
+        return db
 
     # ------------------------------------------------------------------
     # Churn: appends and deletes as first-class deltas
@@ -180,15 +201,22 @@ class TransactionDatabase:
         return new_db, delta
 
     # ------------------------------------------------------------------
-    # Direct support queries (reference implementations; miners count in
-    # bulk via repro.mining.counting)
+    # Direct support queries (one itemset at a time; miners count in bulk
+    # via repro.mining.counting)
     # ------------------------------------------------------------------
     def support(self, itemset: Iterable[int]) -> int:
         """Absolute support of an itemset (number of containing transactions)."""
-        target = frozenset(itemset)
+        from repro.mining.bitmap import popcount_words
+
+        target = sorted(frozenset(itemset))
         if not target:
             return len(self._transactions)
-        return sum(1 for t in self._transactions if target.issubset(t))
+        columns = self.columns()
+        codes = columns.code_of(target)
+        if (codes < 0).any():
+            return 0
+        rows = columns.bitmap()[codes + 1]
+        return int(popcount_words(np.bitwise_and.reduce(rows, axis=0)).sum())
 
     def support_fraction(self, itemset: Iterable[int]) -> float:
         """Relative support of an itemset."""

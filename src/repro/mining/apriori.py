@@ -112,7 +112,7 @@ def apriori(
         sorted(db.item_universe())
     )
     return mine_frequent(
-        db.transactions,
+        db.columns(),
         universe,
         db.min_count(minsup),
         counters=counters,

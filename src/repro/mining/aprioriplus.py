@@ -92,7 +92,7 @@ def apriori_plus(
     with tracer.span("aprioriplus.run", query=str(cfq)):
         for var in cfq.variables:
             domain = cfq.domains[var]
-            projected = [domain.project(t) for t in db.transactions]
+            projected = domain.project_columns(db.columns())
             lattice = ConstrainedLattice(
                 var=var,
                 elements=domain.elements,

@@ -8,8 +8,9 @@ signature::
 Five are provided (and compared in the backend ablation benchmark):
 
 ``HybridBackend``
-    The default of :mod:`repro.mining.counting`: per transaction, pick
-    the cheaper of subset enumeration and candidate scanning.
+    The default of :mod:`repro.mining.counting`: row-AND + popcount over
+    the columnar layout's packed bitmap, metered as the per-transaction
+    cheaper of subset enumeration and candidate scanning.
 ``HashTreeBackend``
     The original Apriori candidate hash tree [2].
 ``VerticalBackend``
@@ -62,6 +63,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.db.columns import TransactionColumns
 from repro.db.stats import OpCounters, ParallelStats, merge_shard_counters
 from repro.errors import ExecutionError, RunInterrupted
 from repro.itemsets import Itemset
@@ -94,7 +96,7 @@ def _shard_bitmap() -> BitmapBackend:
 
 
 class HybridBackend:
-    """The default enumerate-or-scan strategy."""
+    """The default columnar kernel, metered as enumerate-or-scan."""
 
     name = "hybrid"
 
@@ -212,25 +214,27 @@ class VerticalBackend:
 # ----------------------------------------------------------------------
 # Transaction-sharded parallel counting
 # ----------------------------------------------------------------------
-def shard_transactions(
-    transactions: Sequence[Tuple[int, ...]], n_shards: int
-) -> List[List[Tuple[int, ...]]]:
+def shard_transactions(transactions, n_shards: int) -> list:
     """Partition ``transactions`` into ``n_shards`` contiguous shards.
 
     Shards are size-balanced (sizes differ by at most one) and preserve
     transaction order, so the split is deterministic for a given input.
     Trailing shards may be empty when there are fewer transactions than
     shards; they still participate in the merge so counter merging stays
-    uniform.
+    uniform.  A :class:`~repro.db.columns.TransactionColumns` layout is
+    split into CSR slices (views sharing its vocabulary); any other
+    sequence into lists.
     """
     if n_shards < 1:
         raise ExecutionError(f"n_shards must be >= 1, got {n_shards}")
     base, extra = divmod(len(transactions), n_shards)
-    shards: List[List[Tuple[int, ...]]] = []
+    columnar = isinstance(transactions, TransactionColumns)
+    shards = []
     start = 0
     for index in range(n_shards):
         size = base + (1 if index < extra else 0)
-        shards.append(list(transactions[start:start + size]))
+        shard = transactions[start:start + size]
+        shards.append(shard if columnar else list(shard))
         start += size
     return shards
 

@@ -57,6 +57,7 @@ import time
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.db.columns import as_columns
 from repro.db.stats import BitmapStats, OpCounters
 from repro.errors import ExecutionError
 from repro.itemsets import Itemset
@@ -149,7 +150,10 @@ def build_bitmap(
     """Pack ``transactions`` into a :class:`BitmapMatrix`.
 
     ``use_numpy`` forces a representation (the property suite
-    cross-checks the two); the default picks numpy when available.
+    cross-checks the two); the default picks numpy when available.  The
+    numpy matrix is the packed bitmap of the transactions' columnar
+    layout (:meth:`~repro.db.columns.TransactionColumns.bitmap`): row
+    ``r`` is the ``r``-th smallest item id, row 0 stays all-zero.
     """
     if use_numpy is None:
         use_numpy = HAVE_NUMPY
@@ -167,23 +171,12 @@ def build_bitmap(
             for item in transaction:
                 masks[item] = masks.get(item, 0) | bit
         return BitmapMatrix("int", n, n_words, masks=masks)
-    items = sorted({i for t in transactions for i in t})
-    item_index = {item: row for row, item in enumerate(items, start=1)}
-    matrix = _np.zeros((len(items) + 1, n_words), dtype=_np.uint64)
-    rows: List[int] = []
-    tids: List[int] = []
-    for tid, transaction in enumerate(transactions):
-        for item in transaction:
-            rows.append(item_index[item])
-            tids.append(tid)
-    if rows:
-        row_vec = _np.asarray(rows, dtype=_np.intp)
-        tid_vec = _np.asarray(tids, dtype=_np.uint64)
-        word_vec = (tid_vec >> _np.uint64(6)).astype(_np.intp)
-        bit_vec = _np.uint64(1) << (tid_vec & _np.uint64(63))
-        _np.bitwise_or.at(matrix, (row_vec, word_vec), bit_vec)
+    columns = as_columns(transactions)
+    item_index = {
+        item: row for row, item in enumerate(columns.vocab.tolist(), start=1)
+    }
     return BitmapMatrix("numpy", n, n_words, item_index=item_index,
-                        matrix=matrix)
+                        matrix=columns.bitmap())
 
 
 def update_bitmap(
@@ -479,12 +472,14 @@ def _try_pairs_gemm(bitmap, rows, n):
     return _np.rint(counts).astype(_np.int64)
 
 
-def _count_gather(matrix, index, chunk_size):
+def _count_gather(matrix, index, chunk_size, tick=None):
     """Chunked gather + AND + popcount over row indices ``(n, k)``.
 
     Work buffers are preallocated once and reused across chunks, so the
     kernel's memory high-water mark is two ``(chunk, words)`` arrays
-    regardless of batch size.
+    regardless of batch size.  ``tick``, when given, is called with each
+    chunk's candidate count before the chunk is counted (the counting
+    kernels' cooperative guard checks).
     """
     n, k = index.shape
     n_words = matrix.shape[1]
@@ -495,6 +490,8 @@ def _count_gather(matrix, index, chunk_size):
     for start in range(0, n, chunk):
         sub = index[start:start + chunk]
         b = len(sub)
+        if tick is not None:
+            tick(b)
         _np.take(matrix, sub[:, 0], axis=0, out=acc[:b])
         for j in range(1, k):
             _np.take(matrix, sub[:, j], axis=0, out=tmp[:b])

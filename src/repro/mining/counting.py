@@ -1,18 +1,46 @@
-"""Support counting over (projected) transaction lists.
+"""Support counting over (projected) transaction layouts.
 
 Counting is the dominant cost of levelwise mining, and its volume is what
 the paper's optimizations reduce, so this module both counts supports and
 *meters the work* (``subset_tests`` on the run's
 :class:`~repro.db.stats.OpCounters`).
 
-Two complementary strategies are used per transaction, picking whichever
-is cheaper — the classic trade-off between subset enumeration and
-candidate scanning:
+Both kernels take a :class:`~repro.db.columns.TransactionColumns` layout
+(any other transaction sequence is laid out once per call) and run as
+array operations:
+
+* :func:`count_singletons` is one ``bincount`` over the entry codes;
+* :func:`count_candidates` ANDs the candidates' rows of the layout's
+  packed uint64 bitmap and popcounts them, through the chunked gather of
+  :mod:`repro.mining.bitmap`.  The bitmap is built once per layout and
+  cached on it, so the trimmed layout a lattice counts every level
+  against is packed once.  Gather buffers are sized by
+  :data:`WORD_BUDGET`: each chunk holds ``max(1, WORD_BUDGET // n_words)``
+  candidates, so the kernel's memory beyond the bitmap is bounded by the
+  budget, not by the batch.
+
+Metering
+--------
+The work is metered in the units of the classic *hybrid* strategy, which
+per transaction picks the cheaper of
 
 * **enumeration** — generate the k-subsets of the (candidate-filtered)
-  transaction and probe the candidate hash table: cost ``C(|t|, k)``;
+  transaction and probe the candidate hash table: cost ``C(m_t, k)``;
 * **candidate scan** — test each candidate for containment in the
-  transaction: cost ``|candidates| * k``.
+  transaction: cost ``|C| * k``;
+
+plus ``len(t)`` for reading the transaction, where ``m_t`` is the number
+of the transaction's items that occur in some candidate and ``C`` the
+(deduplicated) candidate set.  In closed form::
+
+    subset_tests = sum_t len(t) + sum_{t : m_t >= k} min(C(m_t, k), |C| * k)
+                 = n_entries   + sum_{m >= k} hist[m] * min(C(m, k), |C| * k)
+
+where ``hist[m]`` counts the transactions with ``m_t == m``.  The kernel
+evaluates the right-hand side from a histogram of ``m_t`` in exact Python
+integers, so the figure is the one the per-transaction loop produces,
+without the loop.  Singleton counting meters ``len(t)`` per transaction,
+i.e. ``n_entries``.
 
 Shard additivity
 ----------------
@@ -20,14 +48,14 @@ Shard additivity
 :class:`~repro.mining.backends.ParallelBackend`, which relies on two
 audited invariants:
 
-* **supports** are per-transaction sums, so they distribute over any
-  partition of the transaction list;
-* **probe metering** (``subset_tests``) is likewise a per-transaction
-  sum whose per-transaction term depends only on the transaction and the
-  candidate set — the enumerate-vs-scan decision threshold
-  (``|candidates| * k``) is shard-independent, so each shard makes the
-  same per-transaction choice a serial run would, and per-shard work
-  sums to exactly the serial total.
+* **supports** are per-transaction sums (popcounts of disjoint bit
+  ranges), so they distribute over any partition of the transaction list;
+* **probe metering** is likewise a per-transaction sum whose
+  per-transaction term depends only on the transaction and the candidate
+  set — ``m_t`` is a property of one transaction, and the
+  enumerate-vs-scan threshold ``|C| * k`` depends only on the candidate
+  set — so the histogram of a partition's parts sums to the whole's
+  histogram, and per-shard work sums to exactly the serial total.
 
 The candidate-set ledger (``record_counted``) is *not* additive across
 shards — every shard counts the same candidates — which is why sharded
@@ -37,16 +65,26 @@ runs merge their counters with
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
+import numpy as np
+
+from repro.db.columns import as_columns
 from repro.db.stats import OpCounters
+from repro.errors import ExecutionError
+from repro.mining.bitmap import _count_gather
 from repro.mining.itemsets import Itemset
+
+#: uint64 words per gather buffer.  A chunk of the candidate batch holds
+#: ``max(1, WORD_BUDGET // n_words)`` candidates, and the histogram pass
+#: reads at most this many entries at a time.
+WORD_BUDGET = 1 << 15
 
 
 def count_singletons(
-    transactions: Sequence[Tuple[int, ...]],
+    transactions,
     elements: Iterable[int],
     counters: Optional[OpCounters] = None,
     var: str = "S",
@@ -55,30 +93,28 @@ def count_singletons(
     """Count the support of each element in one pass.
 
     Returns ``{element: support}`` for every requested element (including
-    zero-support ones).  An enabled ``guard``
-    (:class:`~repro.runtime.guard.RunGuard`) is ticked per transaction so
-    deadline/memory trips interrupt even a single long pass; disabled
-    guards cost one ``None`` test per transaction.
+    zero-support ones), keyed in ``set(elements)`` order.  An enabled
+    ``guard`` (:class:`~repro.runtime.guard.RunGuard`) is ticked once
+    with the pass's probe units.
     """
-    wanted = set(elements)
-    support = dict.fromkeys(wanted, 0)
-    tick = guard.tick if guard is not None and guard.enabled else None
-    probes = 0
-    for t in transactions:
-        if tick is not None:
-            tick(len(t))
-        probes += len(t)
-        for item in t:
-            if item in wanted:
-                support[item] += 1
+    columns = as_columns(transactions)
+    support = dict.fromkeys(set(elements), 0)
+    if guard is not None and guard.enabled:
+        guard.tick(columns.n_entries)
+    if support:
+        per_code = np.bincount(columns.codes, minlength=len(columns.vocab) + 1)
+        codes = columns.code_of(np.fromiter(support, dtype=np.int64,
+                                            count=len(support)))
+        # Absent elements have code -1, which reads the zero tail bin.
+        support = dict(zip(support, per_code[codes].tolist()))
     if counters is not None:
-        counters.record_counted(var, 1, len(wanted))
-        counters.subset_tests += probes
+        counters.record_counted(var, 1, len(support))
+        counters.subset_tests += columns.n_entries
     return support
 
 
 def count_candidates(
-    transactions: Sequence[Tuple[int, ...]],
+    transactions,
     candidates: Sequence[Itemset],
     k: int,
     counters: Optional[OpCounters] = None,
@@ -87,46 +123,68 @@ def count_candidates(
 ) -> Dict[Itemset, int]:
     """Count the support of canonical k-itemset candidates in one pass.
 
-    An enabled ``guard`` (:class:`~repro.runtime.guard.RunGuard`) is
-    ticked with each transaction's probe budget, giving the run's
-    cooperative deadline/memory checks sub-pass granularity; with the
-    guard disabled the loop pays one ``None`` test per transaction.
+    Returns ``{candidate: support}`` keyed in (deduplicated) candidate
+    order.  An enabled ``guard`` is ticked once per gather chunk with the
+    chunk's probe units (``chunk * k * n_transactions``).
     """
     support: Dict[Itemset, int] = dict.fromkeys(candidates, 0)
     if not support:
         return support
-    candidate_items = frozenset(item for c in support for item in c)
-    candidate_list: List[Itemset] = list(support)
-    # Depends only on the candidate set, never on the transaction list, so
-    # sharded runs make identical per-transaction strategy choices and
-    # their metered work sums to the serial total (see module docstring).
-    scan_cost = len(candidate_list) * k
-    tick = guard.tick if guard is not None and guard.enabled else None
-    work = 0
-    for t in transactions:
-        if tick is not None:
-            tick(scan_cost)
-        relevant = [i for i in t if i in candidate_items]
-        m = len(relevant)
-        if m < k:
-            work += len(t)
-            continue
-        enum_cost = comb(m, k)
-        if enum_cost <= scan_cost:
-            work += enum_cost + len(t)
-            for subset in combinations(relevant, k):
-                if subset in support:
-                    support[subset] += 1
-        else:
-            work += scan_cost + len(t)
-            t_set = frozenset(relevant)
-            for candidate in candidate_list:
-                if t_set.issuperset(candidate):
-                    support[candidate] += 1
+    columns = as_columns(transactions)
+    candidate_list = list(support)
+    n = len(candidate_list)
+    flat = np.fromiter(chain.from_iterable(candidate_list), dtype=np.int64)
+    if len(flat) != n * k:
+        raise ExecutionError(f"count_candidates: every candidate must hold {k} items")
+    codes = columns.code_of(flat)
+    n_transactions = len(columns)
+    tick = None
+    if guard is not None and guard.enabled:
+        def tick(chunk):
+            guard.tick(chunk * k * n_transactions)
+    counts = _count_gather(
+        columns.bitmap(), (codes + 1).reshape(n, k),
+        max(1, WORD_BUDGET // max(columns.n_words, 1)), tick=tick,
+    )
+    support = dict(zip(candidate_list, counts.tolist()))
     if counters is not None:
-        counters.record_counted(var, k, len(candidate_list))
-        counters.subset_tests += work
+        counters.record_counted(var, k, n)
+        counters.subset_tests += _hybrid_work(columns, codes, n * k, k)
     return support
+
+
+def _hybrid_work(columns, codes, scan_cost: int, k: int) -> int:
+    """The closed-form hybrid metering (see the module docstring)."""
+    # One spare slot absorbs code -1 (candidate items absent from the
+    # data); no entry carries that code, so it is never read.
+    relevant = np.zeros(len(columns.vocab) + 1, dtype=bool)
+    relevant[codes] = True
+    n = len(columns)
+    hist = np.zeros(1, dtype=np.int64)
+    step = max(WORD_BUDGET, 1)
+    row = 0
+    while row < n:
+        # Whole rows, at most ``step`` entries (at least one row).
+        lo = int(columns.offsets[row])
+        stop = int(np.searchsorted(columns.offsets, lo + step, side="right")) - 1
+        stop = min(max(stop, row + 1), n)
+        hi = int(columns.offsets[stop])
+        hits = columns.rows[lo:hi].take(
+            np.flatnonzero(relevant.take(columns.codes[lo:hi]))
+        )
+        per_row = np.bincount(hits - row, minlength=stop - row)
+        part = np.bincount(per_row)
+        if len(part) > len(hist):
+            part[:len(hist)] += hist
+            hist = part
+        else:
+            hist[:len(part)] += part
+        row = stop
+    work = columns.n_entries
+    for m in range(k, len(hist)):
+        if hist[m]:
+            work += int(hist[m]) * min(comb(m, k), scan_cost)
+    return work
 
 
 def frequent_only(support: Dict, min_count: int) -> Dict:

@@ -13,7 +13,8 @@ reusing the audited counting kernels so metering stays comparable:
 * :func:`count_over` — a mixed-size candidate set counted over a (small)
   transaction list, used for the delta passes;
 * :class:`SupportIndex` — an inverted item→TID index over the **full**
-  new database, built lazily in one pass and then answering any number
+  new database, built lazily from its columnar layout (one sort of the
+  entry codes, no per-transaction loop) and then answering any number
   of probes (candidates the old skeleton never counted: children of
   promoted sets, or everything a dropped threshold newly generates) by
   TID-set intersection, with no further database passes.
@@ -27,6 +28,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from repro.db.columns import as_columns
 from repro.db.stats import OpCounters
 from repro.mining.counting import count_candidates, count_singletons
 from repro.mining.itemsets import Itemset
@@ -59,8 +63,10 @@ def count_over(
     Candidates are grouped by size and each group is counted with the
     standard kernels (:func:`~repro.mining.counting.count_singletons` /
     :func:`~repro.mining.counting.count_candidates`), so the work is
-    metered in the same units as cold mining.
+    metered in the same units as cold mining.  The list is laid out once
+    and shared by every group (so is its packed bitmap).
     """
+    transactions = as_columns(transactions)
     by_size: Dict[int, List[Itemset]] = {}
     for candidate in candidates:
         by_size.setdefault(len(candidate), []).append(candidate)
@@ -83,7 +89,8 @@ def count_over(
 class SupportIndex:
     """Inverted item → TID-set index answering exact support probes.
 
-    Built in a single pass over the transaction list; after that every
+    Built from the columnar layout by one stable sort of the entry codes
+    (each item's TIDs are then a contiguous run); after that every
     probe is an intersection of its items' TID sets (smallest first,
     bailing on empty), so probing P candidates across L levels costs one
     database pass total instead of L — the structural reason a skeleton
@@ -91,13 +98,19 @@ class SupportIndex:
     thousands of probes.
     """
 
-    def __init__(self, transactions: Sequence[Transaction]) -> None:
-        self.n_transactions = len(transactions)
-        tids: Dict[int, Set[int]] = {}
-        for tid, transaction in enumerate(transactions):
-            for item in transaction:
-                tids.setdefault(item, set()).add(tid)
-        self._tids = tids
+    def __init__(self, transactions) -> None:
+        columns = as_columns(transactions)
+        self.n_transactions = len(columns)
+        order = np.argsort(columns.codes, kind="stable")
+        tids = columns.rows[order].tolist()
+        bounds = np.searchsorted(
+            columns.codes[order], np.arange(len(columns.vocab) + 1)
+        ).tolist()
+        self._tids: Dict[int, Set[int]] = {
+            item: set(tids[lo:hi])
+            for item, lo, hi in zip(columns.vocab.tolist(), bounds, bounds[1:])
+            if hi > lo
+        }
 
     def support(self, candidate: Itemset) -> int:
         """Exact support of one candidate (the empty set is supported by

@@ -37,6 +37,7 @@ from repro.constraints.pruners import (
 from repro.core.jmax import BoundSeries
 from repro.core.plan import ExecutionPlan, JmaxPlan
 from repro.core.reduction import reduce_twovar
+from repro.db.columns import TransactionColumns
 from repro.db.stats import OpCounters
 from repro.db.transactions import TransactionDatabase
 from repro.errors import ExecutionError
@@ -251,10 +252,11 @@ class DovetailEngine:
     # ------------------------------------------------------------------
     def _build_lattices(self):
         lattices: Dict[str, ConstrainedLattice] = {}
-        projected: Dict[str, List[Tuple[int, ...]]] = {}
+        projected: Dict[str, TransactionColumns] = {}
+        columns = self.db.columns()
         for var, var_plan in self.plan.var_plans.items():
             domain = var_plan.domain
-            projected[var] = [domain.project(t) for t in self.db.transactions]
+            projected[var] = domain.project_columns(columns)
             pruning = compile_constraints(var_plan.base_constraints, var, domain)
             lattices[var] = ConstrainedLattice(
                 var=var,

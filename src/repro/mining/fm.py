@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.constraints.ast import Constraint
 from repro.constraints.evaluate import evaluate_all
+from repro.db.columns import as_columns
 from repro.db.domain import Domain
 from repro.db.stats import OpCounters
 from repro.errors import ExecutionError
@@ -44,6 +45,7 @@ def full_materialization(
         )
     counters = counters if counters is not None else OpCounters()
     domains = {var: domain}
+    transactions = as_columns(transactions)
 
     valid_by_level: Dict[int, List[Itemset]] = {}
     for subset in all_nonempty_subsets(domain.elements):

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.constraints.pruners import CompiledPruning
+from repro.db.columns import as_columns
 from repro.db.stats import OpCounters
 from repro.errors import ExecutionError
 from repro.mining.backends import guarded_count, make_backend
@@ -114,7 +115,9 @@ class ConstrainedLattice:
         :class:`~repro.db.domain.Domain`'s ``elements``, or any iterable
         of ids for plain frequency mining).
     transactions:
-        The domain-projected transactions (tuples of element ids).
+        The domain-projected transactions: a
+        :class:`~repro.db.columns.TransactionColumns` layout, or any
+        sequence of element-id tuples (laid out once).
     min_count:
         Absolute support threshold.
     pruning:
@@ -146,7 +149,7 @@ class ConstrainedLattice:
         self.guard = resolve_guard(guard)
         self.var = var
         self.elements: Tuple[int, ...] = tuple(elements)
-        self.transactions: List[Tuple[int, ...]] = list(transactions)
+        self.transactions = as_columns(transactions)
         self.min_count = min_count
         self.pruning = pruning if pruning is not None else CompiledPruning()
         self.counters = counters if counters is not None else OpCounters()
@@ -383,10 +386,10 @@ class ConstrainedLattice:
             self.counters.record_check(1, n_elements)
 
     def _trim_transactions(self) -> None:
-        keep = frozenset(self.level1_supports)
-        self.transactions = [
-            tuple(i for i in t if i in keep) for t in self.transactions
-        ]
+        columns = self.transactions
+        self.transactions = columns.restrict(
+            columns.vocab_mask(self.level1_supports)
+        )
 
     def _freeze_order(self) -> None:
         if self._frozen:

@@ -71,6 +71,7 @@ EVENT_KINDS = frozenset(
         "service_clear",
         # fault-tolerance narration (docs/fault-tolerance.md)
         "disk_error",
+        "disk_retry",
         "disk_degraded",
         "disk_recovered",
         "result_quarantine",

@@ -78,6 +78,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.db.columns import as_columns
 from repro.db.delta import DatasetDelta
 from repro.db.stats import OpCounters
 from repro.db.transactions import TransactionDatabase
@@ -227,11 +228,11 @@ def refresh_skeleton(
     # Delta pass: exact adjustment of every known candidate that can
     # have changed (items ⊆ the delta's projected element set).
     # ------------------------------------------------------------------
-    added_p = [domain.project(t) for t in delta.added]
-    removed_p = [domain.project(t) for t in delta.removed]
-    touched = frozenset(
-        e for t in added_p for e in t
-    ) | frozenset(e for t in removed_p for e in t)
+    added_p = domain.project_columns(as_columns(delta.added))
+    removed_p = domain.project_columns(as_columns(delta.removed))
+    touched = frozenset(added_p.items.tolist()) | frozenset(
+        removed_p.items.tolist()
+    )
     known: Dict[Itemset, int] = dict(skeleton.supports)
     known.update(skeleton.border)
     adjusted = dict(known)
@@ -302,9 +303,7 @@ def refresh_skeleton(
         if unknown:
             if index is None:
                 counters.record_scan(len(new_db))
-                index = SupportIndex(
-                    [domain.project(t) for t in new_db.transactions]
-                )
+                index = SupportIndex(domain.project_columns(new_db.columns()))
             if guard is not None and getattr(guard, "enabled", False):
                 guard.check(where=f"delta-probe L{k}")
             adjusted.update(index.probe(unknown, counters, var, level=k))

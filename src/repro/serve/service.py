@@ -404,11 +404,22 @@ class QueryService:
 
     def _disk_attempts(self, op: str, attempt: Callable[[], Any]) -> Any:
         """Run one disk operation with bounded retry + backoff; raises
-        the last ``OSError`` once the retries are spent."""
+        the last ``OSError`` once the retries are spent.
+
+        Every failed attempt that a retry follows is counted
+        (``CacheStats.disk_retries``) and journaled, so a fault the
+        retry absorbs still leaves evidence; the final failure is the
+        caller's to record as a disk error.
+        """
         last: Optional[OSError] = None
         for n in range(self.disk_retries + 1):
-            if n and self.disk_backoff_seconds:
-                time.sleep(self.disk_backoff_seconds * (2 ** (n - 1)))
+            if n:
+                self.stats.bump("disk_retries")
+                self.telemetry.record_disk_retry(
+                    op, f"{type(last).__name__}: {last}"
+                )
+                if self.disk_backoff_seconds:
+                    time.sleep(self.disk_backoff_seconds * (2 ** (n - 1)))
             try:
                 return attempt()
             except OSError as exc:

@@ -151,7 +151,7 @@ def build_skeleton(
     anything in that case.
     """
     counters = OpCounters()
-    projected = [domain.project(t) for t in db.transactions]
+    projected = domain.project_columns(db.columns())
     result = mine_skeleton(
         var=var,
         domain=domain,

@@ -206,6 +206,13 @@ class ServiceTelemetry:
             "disk_error", op=op, error=error[:120], breaker=state
         )
 
+    def record_disk_retry(self, op: str, error: str) -> None:
+        """One failed disk attempt that a retry follows."""
+        if not self.enabled:
+            return
+        self.metrics.inc("disk_retries", op=op)
+        self.journal.record("disk_retry", op=op, error=error[:120])
+
     def record_disk_transition(self, new_state: str, old_state: str) -> None:
         """The disk-tier circuit breaker changed state."""
         if not self.enabled:
@@ -480,6 +487,9 @@ class _NullTelemetry:
         return None
 
     def record_disk_error(self, *args: Any, **kwargs: Any) -> None:
+        return None
+
+    def record_disk_retry(self, *args: Any, **kwargs: Any) -> None:
         return None
 
     def record_disk_transition(self, *args: Any, **kwargs: Any) -> None:

@@ -4,7 +4,7 @@ The tracer's contract (see ``docs/observability.md``) is that an
 instrumented build with tracing *off* stays within 3% of an
 uninstrumented one; the run guard (see ``docs/run-lifecycle.md``) makes
 the same promise for a run with no :class:`RunGuard`.  Two measurement
-styles back each up on the backend-ablation workload:
+styles back each up on the Figure 8(a) workload:
 
 1. **Analytic bound** — a disabled call site costs one
    ``NULL_TRACER.span()`` method call (tracer) or one ``is not None``

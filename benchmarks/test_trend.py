@@ -2,8 +2,8 @@
 
 This benchmark measures the repo's headline serving and kernel figures
 — warm-hit latency quantiles (from the serving telemetry histograms,
-not a side stopwatch), replay throughput, the bitmap counting-kernel
-speedup, and the churn-refresh speedup — and commits them as a
+not a side stopwatch), replay throughput, and the churn-refresh
+speedup — and commits them as a
 ``BENCH_10.json`` trend record at the repo root
 (:mod:`repro.bench.trend`).  PR 10 adds the multi-tenant query
 server's load figure: a 10k-query, 8-client-thread HTTP replay of
@@ -20,14 +20,11 @@ line) have no prior — they pass through and become the baseline the
 """
 
 import random
-import statistics
 import time
-from itertools import combinations
 from pathlib import Path
 
 from repro.bench.trend import TrendRecord, gate
-from repro.datagen.workloads import fig8a_workload, quickstart_workload
-from repro.mining.backends import BitmapBackend, HybridBackend
+from repro.datagen.workloads import quickstart_workload
 from repro.serve import (
     QueryServer,
     QueryService,
@@ -43,8 +40,6 @@ TREND_LABEL = "PR10-concurrent-server"
 
 REPLAY_QUERIES = 10_000
 REPLAY_TRANSACTIONS = 600
-KERNEL_TRANSACTIONS = 6_000
-KERNEL_REPS = 3
 CHURN_TRANSACTIONS = 3_000
 CHURN = 100
 CHURN_REPEATS = 3
@@ -75,38 +70,6 @@ def _warm_replay_metrics():
         "warm_hit_p99_seconds": latency["p99"],
         "replay_qps": REPLAY_QUERIES / wall,
     }
-
-
-def _bitmap_count_speedup():
-    """Median counting-only speedup of the bitmap kernel over the serial
-    hybrid on one warm, counting-bound level-2 batch (the
-    ``test_backend_ablation`` guard at trend scale)."""
-    workload = fig8a_workload(
-        50.0, n_transactions=KERNEL_TRANSACTIONS, n_items=600
-    )
-    transactions = workload.db.transactions
-    min_count = workload.db.min_count(0.010)
-    universe = sorted({item for t in transactions for item in t})
-    hybrid = HybridBackend()
-    singles = hybrid.count(transactions, [(i,) for i in universe], 1)
-    frequent = [item for (item,), s in singles.items() if s >= min_count]
-    candidates = list(combinations(frequent, 2))
-
-    medians = {}
-    reference = None
-    for name, backend in (("hybrid", hybrid), ("bitmap", BitmapBackend())):
-        backend.count(transactions, candidates, 2)  # warm-up / matrix pack
-        timings = []
-        for __ in range(KERNEL_REPS):
-            start = time.perf_counter()
-            support = backend.count(transactions, candidates, 2)
-            timings.append(time.perf_counter() - start)
-        if reference is None:
-            reference = support
-        else:
-            assert support == reference
-        medians[name] = statistics.median(timings)
-    return medians["hybrid"] / medians["bitmap"]
 
 
 def _churn_refresh_speedup():
@@ -186,13 +149,6 @@ def test_trend_record_and_gate():
                unit="s", direction="lower")
     record.add("replay_qps", replay["replay_qps"],
                unit="1/s", direction="higher")
-    # The kernel speedup is a ratio of an interpreter-bound loop to a
-    # memory-bandwidth-bound kernel; across container placements the
-    # same commit has measured anywhere from ~5.4x to ~9.1x, so the
-    # metric declares a wide noise band (a *real* kernel regression
-    # shows up as the ratio collapsing toward 1, far past this).
-    record.add("bitmap_count_speedup", _bitmap_count_speedup(),
-               direction="higher", noise=0.5)
     record.add("churn_refresh_speedup", _churn_refresh_speedup(),
                direction="higher")
 

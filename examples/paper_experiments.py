@@ -12,7 +12,6 @@ import sys
 
 from repro.bench.experiments import (
     ablation_table,
-    backend_table,
     ccc_experiment,
     fig8a_level_table,
     fig8a_range_table,
@@ -34,7 +33,6 @@ def main() -> None:
         jmax_table,
         ccc_experiment,
         ablation_table,
-        backend_table,
     )
     for experiment in experiments:
         print(experiment(scale=scale).render())

@@ -13,7 +13,6 @@ databases for use inside the test suite.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,7 +25,6 @@ from repro.datagen.workloads import (
     fig8b_workload,
     jmax_workload,
 )
-from repro.mining.backends import make_backend
 
 _SCALES = {
     "full": {"n_transactions": 4000, "n_items": 600},
@@ -513,127 +511,6 @@ def ablation_table(
         paper="Section 5.2 argues dovetailing shares scans; Sections 4-5 "
         "attribute the speedups to reduction and iterative pruning; "
         "iterated reduction is this reproduction's extension",
-        notes=notes,
-    )
-
-
-class _CountTimer:
-    """Transparent backend proxy accumulating ``count()`` wall time.
-
-    Whole-run wall time mixes counting with candidate generation,
-    constraint checking, and pair formation, which caps the apparent
-    speedup of a fast kernel; the ablation therefore also reports
-    counting time alone, measured here.  The proxy forwards the full
-    backend protocol (``count``, ``open``/``close`` lifecycle, ``name``,
-    ``stats``), so it is indistinguishable from the wrapped backend to
-    the drivers.
-    """
-
-    def __init__(self, backend):
-        self._backend = backend
-        self.count_seconds = 0.0
-
-    def count(self, *args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return self._backend.count(*args, **kwargs)
-        finally:
-            self.count_seconds += time.perf_counter() - start
-
-    def __getattr__(self, attr):
-        return getattr(self._backend, attr)
-
-
-def backend_table(
-    scale: str = "full",
-    parallel_workers: int = 4,
-    report_dir: Optional[str] = None,
-    deadline: Optional[float] = None,
-) -> ExperimentResult:
-    """Counting-backend comparison on the Figure 8(a) quest-generator
-    workload: the hybrid enumerate/scan default vs the original Apriori
-    hash tree vs vertical TID-lists vs the vectorized uint64 bitmap
-    kernel vs transaction-sharded parallel counting (over the hybrid and
-    bitmap kernels).  All produce identical answers; the table reports
-    elementary probe counts, whole-run wall time, counting-only wall
-    time (every ``backend.count`` call, measured through a transparent
-    proxy), and both speedups over the serial hybrid baseline.
-    Counting-only speedup is the honest kernel comparison — whole-run
-    time is bounded below by the non-counting pipeline, which the kernel
-    cannot touch.  The parallel runs execute inside one
-    ``backend_scope``, so the pool is forked once for the whole run;
-    pool lifecycle/failure stats and bitmap matrix-cache stats are
-    appended as notes."""
-    from repro.mining.backends import ParallelBackend, backend_scope
-
-    workload = fig8a_workload(50.0, **_scale_kwargs(scale))
-    cfq = workload.cfq()
-    specs = [
-        ("hybrid", "hybrid"),
-        ("hashtree", "hashtree"),
-        ("vertical", "vertical"),
-        ("bitmap", "bitmap"),
-        (
-            f"parallel[{parallel_workers}]",
-            ParallelBackend(workers=parallel_workers, shard_threshold=0),
-        ),
-        (
-            f"parallel[{parallel_workers}]+bitmap",
-            ParallelBackend(workers=parallel_workers, shard_threshold=0,
-                            kernel="bitmap"),
-        ),
-    ]
-    rows: List[List[object]] = []
-    notes: List[str] = []
-    reference = None
-    hybrid_wall = None
-    hybrid_count = None
-    for name, backend in specs:
-        timer = _CountTimer(make_backend(backend))
-        with backend_scope(timer):
-            run = _strategy(name, workload.db, cfq, backend=timer,
-                            report_dir=report_dir, experiment="backends",
-                            deadline=deadline, notes=notes)
-        sizes = dict(run.frequent_sizes)
-        if reference is None:
-            reference = sizes
-            hybrid_wall = run.wall_seconds
-            hybrid_count = timer.count_seconds
-        if not run.is_partial:
-            assert sizes == reference, "backends must agree on the answer"
-        speedup = hybrid_wall / run.wall_seconds if run.wall_seconds else 0.0
-        count_speedup = (
-            hybrid_count / timer.count_seconds if timer.count_seconds else 0.0
-        )
-        rows.append(
-            [
-                name,
-                run.counters.subset_tests,
-                round(run.wall_seconds, 3),
-                round(speedup, 2),
-                round(timer.count_seconds, 4),
-                round(count_speedup, 2),
-                sum(sizes.values()),
-            ]
-        )
-        stats = getattr(timer, "stats", None)
-        if stats is not None and getattr(stats, "levels", None):
-            notes.append(f"{name}: {stats.summary()}")
-    return ExperimentResult(
-        experiment="Counting-backend ablation (Figure 8(a) workload, 50% overlap)",
-        headers=[
-            "backend",
-            "probe_count",
-            "wall_seconds",
-            "speedup_vs_hybrid",
-            "count_seconds",
-            "count_speedup",
-            "frequent_valid_sets",
-        ],
-        rows=rows,
-        paper="the paper's C implementation used the Apriori hash tree [2]; "
-        "this compares it against the hybrid, vertical, vectorized "
-        "bitmap, and transaction-sharded parallel layouts",
         notes=notes,
     )
 

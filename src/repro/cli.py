@@ -60,12 +60,6 @@ from repro.core.classify import classify_twovar
 from repro.core.optimizer import CFQOptimizer
 from repro.datagen.workloads import quickstart_workload
 from repro.errors import ExecutionError, ReproError
-from repro.mining.backends import (
-    BACKENDS,
-    ParallelBackend,
-    backend_scope,
-    make_backend,
-)
 from repro.obs.logs import LEVELS, configure_logging
 from repro.obs.report import build_run_report
 from repro.obs.trace import Tracer
@@ -98,15 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the execution plan and operation counts")
     query.add_argument("--baseline", action="store_true",
                        help="also run Apriori+ and report the speedup")
-    query.add_argument("--backend", default="hybrid", metavar="BACKEND",
-                       help="support-counting backend: one of "
-                       f"{', '.join(sorted(BACKENDS))}, or "
-                       "'parallel:<workers>[:<kernel>]' — e.g. "
-                       "'parallel:4:bitmap' shards the vectorized bitmap "
-                       "kernel (default: hybrid)")
-    query.add_argument("--workers", type=int, default=None,
-                       help="worker processes for '--backend parallel' "
-                       "(default: up to 4, bounded by the visible CPUs)")
     query.add_argument("--trace-out", metavar="PATH", default=None,
                        help="trace the run and write the versioned JSON "
                        "run report (spans, metrics, pruning table) to PATH")
@@ -157,8 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--seed", type=int, default=7)
     batch.add_argument("--pairs", type=_non_negative_int, default=3,
                        help="how many valid pairs to print per query")
-    batch.add_argument("--backend", default="hybrid", metavar="BACKEND",
-                       help="support-counting backend (as in 'query')")
     batch.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="also persist full result artifacts in DIR")
     batch.add_argument("--deadline", type=float, default=None,
@@ -197,8 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     experiments.add_argument("--scale", choices=("full", "smoke"), default="smoke")
     experiments.add_argument(
         "--only",
-        choices=("fig8a", "fig8b", "jmax", "ccc", "ablations", "backends",
-                 "serving"),
+        choices=("fig8a", "fig8b", "jmax", "ccc", "ablations", "serving"),
         default=None,
         help="run a single experiment family",
     )
@@ -267,9 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="memory result-cache capacity (default 64)")
     serve.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="persist results under DIR (the warm disk tier)")
-    serve.add_argument("--backend", default="hybrid", metavar="BACKEND",
-                       help=f"counting backend ({', '.join(sorted(BACKENDS))}; "
-                       "default hybrid)")
     serve.add_argument("--journal-out", metavar="PATH", default=None,
                        help="append serving events to PATH as JSON lines")
 
@@ -316,22 +295,6 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _resolve_backend(name: str, workers: Optional[int]):
-    """Build the counting backend the query flags describe.
-
-    Malformed names and ``parallel:<workers>`` specs raise
-    :class:`~repro.errors.ExecutionError`, which ``main`` renders as a
-    clean ``error: ...`` / exit-code-2 instead of a traceback.
-    """
-    if workers is not None:
-        if name != "parallel":
-            raise ExecutionError(
-                f"--workers only applies to '--backend parallel', not {name!r}"
-            )
-        return ParallelBackend(workers=workers)
-    return make_backend(name)
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         raise ExecutionError("--resume requires --checkpoint-dir")
@@ -345,7 +308,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             "--telemetry-out requires --cache-dir: telemetry lives on the "
             "serving layer, and only cached runs go through it"
         )
-    backend = _resolve_backend(args.backend, args.workers)
     service = None
     tracer = Tracer() if (args.trace_out or args.profile) else None
     workload = quickstart_workload(n_transactions=args.transactions,
@@ -362,9 +324,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         max_candidates=args.max_candidates,
     )
     profile = None
-    # Hold the backend's resources (the parallel worker pool) open across
-    # the whole command; the engine's nested scope then reuses them.
-    with backend_scope(backend), guard.signals():
+    with guard.signals():
         if args.profile:
             import cProfile
 
@@ -376,13 +336,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
                 service = QueryService(cache_dir=args.cache_dir)
                 result = service.execute(
-                    workload.db, cfq,
-                    backend=backend, tracer=tracer, guard=guard,
+                    workload.db, cfq, tracer=tracer, guard=guard,
                 )
             else:
                 result = CFQOptimizer(cfq).execute(
                     workload.db,
-                    backend=backend,
                     tracer=tracer,
                     guard=guard,
                     checkpoint_dir=args.checkpoint_dir,
@@ -453,8 +411,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             speedup = baseline.counters.cost() / result.counters.cost()
             print(f"op-cost speedup over Apriori+: {speedup:.2f}x")
     if args.explain:
-        # explain() includes pool lifecycle / failure / retry / fallback
-        # stats when a parallel backend ran (see ParallelStats.summary).
         print(result.explain())
     if args.telemetry_out and service is not None:
         service.telemetry.write(args.telemetry_out, stats=service.stats)
@@ -536,7 +492,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.serve import QueryService
 
     churn_ops = [_parse_churn(spec) for spec in (args.churn or [])]
-    backend = _resolve_backend(args.backend, None)
     workload = quickstart_workload(n_transactions=args.transactions,
                                    seed=args.seed)
     db = workload.db
@@ -551,8 +506,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
     rng = random.Random(args.seed)
     delta_reports = []
-    with backend_scope(backend), guard.signals():
-        report = service.execute_batch(db, cfqs, backend=backend, guard=guard)
+    with guard.signals():
+        report = service.execute_batch(db, cfqs, guard=guard)
         print(f"batch of {len(report.items)} queries "
               f"(skeleton build {report.skeleton_build_seconds:.3f}s, "
               f"{service.stats.skeleton_builds} skeleton(s) mined)")
@@ -565,9 +520,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 population = range(len(db))
                 tids = rng.sample(population, min(n, max(len(db) - 1, 0)))
                 db, delta = db.delete(tids)
-            maintenance = service.apply_delta(
-                db, delta, backend=backend, guard=guard
-            )
+            maintenance = service.apply_delta(db, delta, guard=guard)
             delta_reports.append(maintenance)
             probed = sum(r.probed for r in maintenance.refreshes)
             print(f"churn[{step}] {op}:{n} -> {len(db)} transactions "
@@ -577,9 +530,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                   f"{probed} candidate(s) probed, "
                   f"{maintenance.results_invalidated} result(s) invalidated "
                   f"in {maintenance.wall_seconds:.4f}s")
-            report = service.execute_batch(
-                db, cfqs, backend=backend, guard=guard
-            )
+            report = service.execute_batch(db, cfqs, guard=guard)
             any_partial = _print_batch_items(report, args.pairs) or any_partial
             if args.verify_cold:
                 for item in report.items:
@@ -630,7 +581,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         "jmax": (exp.jmax_table,),
         "ccc": (exp.ccc_experiment,),
         "ablations": (exp.ablation_table,),
-        "backends": (exp.backend_table,),
         "serving": (exp.serving_repeated_table, exp.serving_refinement_table),
     }
     selected = (
@@ -799,7 +749,6 @@ def _build_server(
     queue_limit: int = 64,
     cache_entries: int = 64,
     cache_dir: Optional[str] = None,
-    backend_name: str = "hybrid",
     journal_path: Optional[str] = None,
 ):
     """A QueryServer over the quickstart workload (serve/replay share it)."""
@@ -828,7 +777,6 @@ def _build_server(
         max_width=max_width,
         queue_limit=queue_limit,
         default_minsup=minsup,
-        backend=make_backend(backend_name),
     )
     return workload, core
 
@@ -846,7 +794,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         cache_entries=args.cache_entries,
         cache_dir=args.cache_dir,
-        backend_name=args.backend,
         journal_path=args.journal_out,
     )
     handle = start_server(

@@ -60,7 +60,6 @@ class CFQResult:
     plan: ExecutionPlan
     counters: OpCounters
     raw: DovetailResult
-    backend: object = None
     trace: object = None
     status: str = "complete"
     interruption: object = None
@@ -156,10 +155,6 @@ class CFQResult:
         lines.append("  operation counts:")
         for name, value in self.counters.as_dict().items():
             lines.append(f"    {name}: {value}")
-        stats = getattr(self.backend, "stats", None)
-        if stats is not None and getattr(stats, "levels", None):
-            label = getattr(stats, "explain_label", "parallel counting")
-            lines.append(f"  {label}: {stats.summary()}")
         if self.cache_info:
             info = self.cache_info
             source = info.get("source", "unknown")
@@ -340,7 +335,6 @@ class CFQOptimizer:
         use_reduction: bool = True,
         use_jmax: bool = True,
         keep_candidates: bool = False,
-        backend=None,
         reduction_rounds: int = 1,
         tracer=None,
         guard=None,
@@ -403,7 +397,6 @@ class CFQOptimizer:
                     plan=plan,
                     counters=counters,
                     raw=raw,
-                    backend=None,
                     trace=tracer if tracer.enabled else None,
                     status="complete",
                     cache_info=dict(getattr(hit, "info", None) or {}),
@@ -436,7 +429,6 @@ class CFQOptimizer:
                 use_jmax=use_jmax,
                 max_level=self.cfq.max_level,
                 keep_candidates=keep_candidates,
-                backend=backend,
                 reduction_rounds=reduction_rounds,
                 tracer=tracer,
                 guard=guard,
@@ -464,7 +456,6 @@ class CFQOptimizer:
             plan=plan,
             counters=engine.counters,
             raw=raw,
-            backend=engine.backend,
             trace=tracer if tracer.enabled else None,
             status=status,
             interruption=interruption,

@@ -22,11 +22,11 @@ normalized on construction.
 
 The object is an immutable ``Sequence[Tuple[int, ...]]`` — ``len``,
 iteration, integer indexing and slicing — so every consumer written
-against tuple lists (the hash-tree, vertical, bitmap and parallel
-backends, :func:`~repro.db.digest.transactions_digest`) reads it
-unchanged.  Contiguous slices are CSR views sharing ``vocab``, which is
-how the parallel backend shards it.  Derived layouts (:meth:`restrict`,
-:meth:`relabel`) are new objects; the packed bitmap of a layout is
+against tuple lists (:func:`~repro.db.digest.transactions_digest`, the
+test oracles) reads it unchanged.  Contiguous slices are CSR views
+sharing ``vocab``.  Derived layouts (:meth:`restrict`, :meth:`relabel`)
+are new objects; the packed bitmap of a layout, which
+:func:`~repro.mining.counting.count_candidates` ANDs and popcounts, is
 built on first use and cached on the object, so it lives exactly as
 long as the layout it describes.
 """
@@ -138,8 +138,8 @@ class TransactionColumns(Sequence):
             yield tuple(items[lo:hi])
 
     def __reduce__(self):
-        # The cached bitmap is derived state: shard slices pickled for
-        # pool workers carry only the layout.
+        # The cached bitmap is derived state: a pickled layout carries
+        # only its arrays.
         return (TransactionColumns,
                 (self.vocab, self.codes, self.offsets, self._rows))
 

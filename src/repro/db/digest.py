@@ -2,10 +2,9 @@
 
 One canonical digest is shared by every subsystem that keys on dataset
 content — checkpoint fingerprints (:mod:`repro.runtime.checkpoint`), the
-serving layer's dataset fingerprints (:mod:`repro.serve.fingerprint`),
-the vertical/bitmap backends' content-keyed caches, and the churn layer's
-:class:`~repro.db.delta.DatasetDelta` — so "same digest" means exactly
-"same transactions in the same order" everywhere.
+serving layer's dataset fingerprints (:mod:`repro.serve.fingerprint`)
+and the churn layer's :class:`~repro.db.delta.DatasetDelta` — so "same
+digest" means exactly "same transactions in the same order" everywhere.
 """
 
 from __future__ import annotations

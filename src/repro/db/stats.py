@@ -18,22 +18,9 @@ deterministic, machine-independent cost.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Sequence, Tuple
-
-
-def debug_checks_enabled() -> bool:
-    """Whether expensive internal consistency assertions are on.
-
-    Controlled by the ``REPRO_DEBUG`` environment variable (``1``/
-    ``true``/``yes``/``on``); read at check time so tests can toggle it
-    per-case.
-    """
-    return os.environ.get("REPRO_DEBUG", "").strip().lower() in (
-        "1", "true", "yes", "on"
-    )
+from typing import Dict, Tuple
 
 
 @dataclass
@@ -203,8 +190,8 @@ class OpCounters:
     def restore(self, snapshot: Dict[str, object]) -> None:
         """Overwrite every counter in place from a :meth:`snapshot`.
 
-        In-place so the instance already threaded through lattices and
-        backends snaps to the checkpointed state without re-wiring.
+        In-place so the instance already threaded through the lattices
+        snaps to the checkpointed state without re-wiring.
         """
         self.support_counted.clear()
         for var, level, n in snapshot["support_counted"]:
@@ -224,321 +211,6 @@ class OpCounters:
         counters = cls()
         counters.restore(snapshot)
         return counters
-
-
-def merge_shard_counters(shards: Sequence[OpCounters]) -> OpCounters:
-    """Merge per-shard counters from one sharded count of ONE candidate set.
-
-    This is *not* :meth:`OpCounters.merged`, which sums everything: when a
-    transaction list is partitioned into shards and every shard counts the
-    *same* candidates, the work-style quantities (``subset_tests``,
-    ``scans``, ``tuples_read``) are additive across shards, but the
-    candidate-set ledger (``support_counted``) is not — each shard counted
-    the same sets, so summing would multiply the ccc "sets counted" figure
-    by the shard fan-out.  The merged counters therefore take the ledger
-    from the first shard (all shards' ledgers are identical by
-    construction) and sum the rest, which makes a sharded run's totals
-    equal a serial run's.
-
-    Disagreeing ledgers are a merge-protocol bug.  A cheap total-count
-    comparison always runs; the full per-(var, level) ledger equality
-    check — O(ledger size) per shard — additionally runs when
-    ``REPRO_DEBUG=1`` (see :func:`debug_checks_enabled`).
-    """
-    if not shards:
-        return OpCounters()
-    first = shards[0]
-    deep = debug_checks_enabled()
-    for other in shards[1:]:
-        if other.total_counted != first.total_counted or (
-            deep and other.support_counted != first.support_counted
-        ):
-            raise ValueError(
-                "shard counters disagree on the counted candidate sets; "
-                "merge_shard_counters is only valid when every shard "
-                "counted the same candidates"
-            )
-    merged = OpCounters(support_counted=dict(first.support_counted))
-    for shard in shards:
-        merged.subset_tests += shard.subset_tests
-        merged.scans += shard.scans
-        merged.tuples_read += shard.tuples_read
-        merged.constraint_checks_singleton += shard.constraint_checks_singleton
-        merged.constraint_checks_larger += shard.constraint_checks_larger
-        merged.pair_checks += shard.pair_checks
-    return merged
-
-
-@dataclass
-class ParallelLevelStats:
-    """Timing record for one sharded counting pass (one lattice level).
-
-    ``failures`` counts failed shard attempts (worker crashes, timeouts,
-    lost workers), ``retries`` counts pool resubmissions, and
-    ``fallback_shards`` counts shards that exhausted their retries and
-    were counted in-process instead.
-    """
-
-    shard_sizes: Tuple[int, ...]
-    shard_seconds: Tuple[float, ...]
-    merge_seconds: float
-    in_process: bool
-    failures: int = 0
-    retries: int = 0
-    fallback_shards: int = 0
-
-    @property
-    def span_seconds(self) -> float:
-        """Critical-path estimate: the slowest shard plus the merge."""
-        return (max(self.shard_seconds) if self.shard_seconds else 0.0) + (
-            self.merge_seconds
-        )
-
-
-@dataclass
-class ParallelStats:
-    """Shard-level instrumentation of a :class:`ParallelBackend` run.
-
-    One :class:`ParallelLevelStats` is recorded per counting call (i.e.
-    per lattice level), so speedup and shard balance are measurable after
-    the fact: compare ``sum(shard_seconds)`` (serial work) against
-    ``span_seconds`` (parallel critical path).
-
-    The fault-tolerance side of the backend is recorded here too:
-    ``pool_forks`` counts actual pool creations (one per mining run under
-    the persistent-pool lifecycle), ``failure_log`` keeps one line per
-    failed shard attempt, and ``pool_broken`` flags a pool that was torn
-    down mid-run (all remaining work degrades to in-process counting).
-    """
-
-    #: Cap on retained failure-log entries: a pathological run (every
-    #: shard of every level timing out) must not grow memory unboundedly.
-    MAX_FAILURE_LOG = 50
-
-    #: Label `CFQResult.explain()` renders this block under.
-    explain_label: ClassVar[str] = "parallel counting"
-
-    levels: List[ParallelLevelStats] = field(default_factory=list)
-    #: Which per-shard counting kernel the backend ran ("hybrid" or
-    #: "bitmap"); purely descriptive — the shard/merge machinery is
-    #: kernel-agnostic.
-    kernel: str = "hybrid"
-    pool_forks: int = 0
-    pool_broken: bool = False
-    failure_log: List[str] = field(default_factory=list)
-    failure_log_dropped: int = 0
-    #: Counting passes cancelled by a run guard trip: the pool was torn
-    #: down to cancel outstanding shard tasks, but (unlike a broken
-    #: pool) it may be re-forked by a later run.
-    cancelled_levels: int = 0
-
-    def record_level(
-        self,
-        shard_sizes: Sequence[int],
-        shard_seconds: Sequence[float],
-        merge_seconds: float,
-        in_process: bool,
-        failures: int = 0,
-        retries: int = 0,
-        fallback_shards: int = 0,
-    ) -> None:
-        self.levels.append(
-            ParallelLevelStats(
-                shard_sizes=tuple(shard_sizes),
-                shard_seconds=tuple(shard_seconds),
-                merge_seconds=merge_seconds,
-                in_process=in_process,
-                failures=failures,
-                retries=retries,
-                fallback_shards=fallback_shards,
-            )
-        )
-
-    def record_fork(self) -> None:
-        """Record one worker-pool creation."""
-        self.pool_forks += 1
-
-    def record_failure(self, message: str) -> None:
-        """Record one failed shard attempt (crash, timeout, lost worker).
-
-        At most :data:`MAX_FAILURE_LOG` entries are retained; further
-        failures only bump ``failure_log_dropped`` (the totals in
-        :meth:`as_dict` still count every failure via the level records).
-        """
-        if len(self.failure_log) < self.MAX_FAILURE_LOG:
-            self.failure_log.append(message)
-        else:
-            self.failure_log_dropped += 1
-
-    def mark_broken(self, reason: str) -> None:
-        """Record that the pool was abandoned mid-run."""
-        self.pool_broken = True
-        self.record_failure(f"pool broken: {reason}")
-
-    def record_cancellation(self, reason: str) -> None:
-        """Record one counting pass abandoned by a guard trip."""
-        self.cancelled_levels += 1
-        self.record_failure(f"cancelled: {reason}")
-
-    @property
-    def total_shard_seconds(self) -> float:
-        """Summed per-shard wall time (the serialized work)."""
-        return sum(sum(level.shard_seconds) for level in self.levels)
-
-    @property
-    def total_merge_seconds(self) -> float:
-        return sum(level.merge_seconds for level in self.levels)
-
-    @property
-    def total_span_seconds(self) -> float:
-        """Summed critical paths — what a perfectly parallel run pays."""
-        return sum(level.span_seconds for level in self.levels)
-
-    @property
-    def total_failures(self) -> int:
-        """Failed shard attempts across all levels."""
-        return sum(level.failures for level in self.levels)
-
-    @property
-    def total_retries(self) -> int:
-        """Shard resubmissions across all levels."""
-        return sum(level.retries for level in self.levels)
-
-    @property
-    def total_fallback_shards(self) -> int:
-        """Shards that degraded to in-process serial counting."""
-        return sum(level.fallback_shards for level in self.levels)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat summary suitable for reports."""
-        return {
-            "levels": len(self.levels),
-            "kernel": self.kernel,
-            "max_shards": max(
-                (len(level.shard_sizes) for level in self.levels), default=0
-            ),
-            "pooled_levels": sum(1 for lvl in self.levels if not lvl.in_process),
-            "total_shard_seconds": self.total_shard_seconds,
-            "total_merge_seconds": self.total_merge_seconds,
-            "total_span_seconds": self.total_span_seconds,
-            "pool_forks": self.pool_forks,
-            "pool_broken": self.pool_broken,
-            "failures": self.total_failures,
-            "retries": self.total_retries,
-            "fallback_shards": self.total_fallback_shards,
-            "failure_log_dropped": self.failure_log_dropped,
-            "cancelled_levels": self.cancelled_levels,
-        }
-
-    def summary(self) -> str:
-        """One-line rendering for CLI ``--explain`` output."""
-        d = self.as_dict()
-        text = (
-            f"{d['levels']} sharded levels "
-            f"({d['kernel']} kernel, "
-            f"{d['pooled_levels']} via worker pool, "
-            f"max {d['max_shards']} shards, "
-            f"{d['pool_forks']} pool fork(s)); "
-            f"shard work {d['total_shard_seconds']:.3f}s, "
-            f"critical path {d['total_span_seconds']:.3f}s, "
-            f"merge {d['total_merge_seconds']:.3f}s"
-        )
-        if d["failures"] or d["retries"] or d["fallback_shards"]:
-            text += (
-                f"; {d['failures']} shard failure(s), "
-                f"{d['retries']} retry(ies), "
-                f"{d['fallback_shards']} serial fallback(s)"
-            )
-        if d["failure_log_dropped"]:
-            text += (
-                f"; {d['failure_log_dropped']} failure-log entry(ies) "
-                f"dropped beyond the {self.MAX_FAILURE_LOG}-entry cap"
-            )
-        if d["cancelled_levels"]:
-            text += (
-                f"; {d['cancelled_levels']} counting pass(es) cancelled by "
-                "run guard"
-            )
-        if d["pool_broken"]:
-            text += "; pool broken — degraded to in-process counting"
-        return text
-
-
-@dataclass
-class BitmapLevelStats:
-    """One bitmap counting pass: candidates counted, uint64 words
-    touched by the AND/popcount kernel, and kernel wall time."""
-
-    candidates: int
-    words: int
-    seconds: float
-
-
-@dataclass
-class BitmapStats:
-    """Instrumentation of a :class:`~repro.mining.bitmap.BitmapBackend`.
-
-    One :class:`BitmapLevelStats` per counting pass, plus matrix-build
-    accounting: ``builds`` counts actual packings (content-digest cache
-    misses) and ``cache_hits`` counts passes served from a cached
-    matrix, so tests can assert that equal-content transaction lists
-    share one build.  Shaped like :class:`ParallelStats` (``levels`` +
-    ``as_dict`` + ``summary``) so ``--explain`` and the run report's
-    backend-stats block render it through the same generic hook.
-    """
-
-    #: Label `CFQResult.explain()` renders this block under.
-    explain_label: ClassVar[str] = "bitmap counting"
-
-    levels: List[BitmapLevelStats] = field(default_factory=list)
-    builds: int = 0
-    cache_hits: int = 0
-    #: Which representation the backend packs ("numpy" or "int").
-    kernel: str = "numpy"
-
-    def record_level(self, candidates: int, words: int, seconds: float) -> None:
-        self.levels.append(BitmapLevelStats(candidates, words, seconds))
-
-    def record_build(self) -> None:
-        self.builds += 1
-
-    def record_cache_hit(self) -> None:
-        self.cache_hits += 1
-
-    @property
-    def total_candidates(self) -> int:
-        return sum(level.candidates for level in self.levels)
-
-    @property
-    def total_words(self) -> int:
-        return sum(level.words for level in self.levels)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(level.seconds for level in self.levels)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat summary suitable for reports."""
-        return {
-            "levels": len(self.levels),
-            "kernel": self.kernel,
-            "builds": self.builds,
-            "cache_hits": self.cache_hits,
-            "candidates_counted": self.total_candidates,
-            "words_touched": self.total_words,
-            "kernel_seconds": self.total_seconds,
-        }
-
-    def summary(self) -> str:
-        """One-line rendering for CLI ``--explain`` output."""
-        d = self.as_dict()
-        return (
-            f"{d['levels']} counting pass(es) ({d['kernel']} kernel); "
-            f"{d['builds']} matrix build(s), {d['cache_hits']} cache hit(s); "
-            f"{d['candidates_counted']} candidates over "
-            f"{d['words_touched']} uint64 words in "
-            f"{d['kernel_seconds']:.4f}s"
-        )
 
 
 @dataclass

@@ -80,9 +80,9 @@ class TransactionDatabase:
         """The transactions as an immutable tuple.
 
         Always the *same* tuple object for the life of the database —
-        content-fingerprint memos and backend matrix caches pin digests
-        by object identity, so both the immutability and the identity
-        stability are load-bearing.  Mutation happens only through
+        content-fingerprint memos pin digests by object identity, so
+        both the immutability and the identity stability are
+        load-bearing.  Mutation happens only through
         :meth:`append` / :meth:`delete`, which return new databases.
         """
         return self._transactions
@@ -206,7 +206,7 @@ class TransactionDatabase:
     # ------------------------------------------------------------------
     def support(self, itemset: Iterable[int]) -> int:
         """Absolute support of an itemset (number of containing transactions)."""
-        from repro.mining.bitmap import popcount_words
+        from repro.mining.counting import popcount_words
 
         target = sorted(frozenset(itemset))
         if not target:

@@ -12,7 +12,6 @@ from typing import Iterable, Optional, Sequence, Tuple
 from repro.db.stats import OpCounters
 from repro.db.transactions import TransactionDatabase
 from repro.errors import RunInterrupted
-from repro.mining.backends import backend_scope
 from repro.mining.lattice import ConstrainedLattice, LatticeResult
 from repro.obs.trace import resolve_tracer
 from repro.runtime.guard import resolve_guard
@@ -25,7 +24,6 @@ def mine_frequent(
     counters: Optional[OpCounters] = None,
     var: str = "S",
     max_level: Optional[int] = None,
-    backend=None,
     tracer=None,
     guard=None,
 ) -> LatticeResult:
@@ -46,9 +44,6 @@ def mine_frequent(
         Label under which counted work is recorded.
     max_level:
         Optional cap on lattice depth.
-    backend:
-        Counting backend name or instance (see
-        :mod:`repro.mining.backends`); defaults to the hybrid strategy.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; records one ``level``
         span per mining level.
@@ -67,29 +62,25 @@ def mine_frequent(
         min_count=min_count,
         counters=counters,
         max_level=max_level,
-        backend=backend,
         guard=guard,
     )
-    # One backend scope per mining run: a parallel backend forks its
-    # worker pool once and reuses it across every level.
     with tracer.span("apriori.run", var=var, min_count=min_count):
-        with backend_scope(lattice.backend):
-            try:
-                while True:
-                    level = lattice.level + 1
-                    with tracer.span("level", var=var, level=level) as span:
-                        progressed = lattice.count_and_absorb()
-                        if tracer.enabled:
-                            span.set(
-                                candidates_in=lattice.counted_per_level.get(level, 0),
-                                frequent_out=len(lattice.frequent.get(level, {})),
-                                pruned=dict(lattice.prune_counts.get(level, {})),
-                            )
-                    if not progressed:
-                        break
-            except RunInterrupted as exc:
-                exc.partial = lattice.result()
-                raise
+        try:
+            while True:
+                level = lattice.level + 1
+                with tracer.span("level", var=var, level=level) as span:
+                    progressed = lattice.count_and_absorb()
+                    if tracer.enabled:
+                        span.set(
+                            candidates_in=lattice.counted_per_level.get(level, 0),
+                            frequent_out=len(lattice.frequent.get(level, {})),
+                            pruned=dict(lattice.prune_counts.get(level, {})),
+                        )
+                if not progressed:
+                    break
+        except RunInterrupted as exc:
+            exc.partial = lattice.result()
+            raise
     return lattice.result()
 
 
@@ -99,7 +90,6 @@ def apriori(
     elements: Optional[Iterable[int]] = None,
     counters: Optional[OpCounters] = None,
     max_level: Optional[int] = None,
-    backend=None,
     tracer=None,
     guard=None,
 ) -> LatticeResult:
@@ -117,7 +107,6 @@ def apriori(
         db.min_count(minsup),
         counters=counters,
         max_level=max_level,
-        backend=backend,
         tracer=tracer,
         guard=guard,
     )

@@ -24,7 +24,6 @@ from repro.constraints.pruners import CompiledPruning, compile_onevar
 from repro.db.domain import Domain
 from repro.db.stats import OpCounters
 from repro.errors import ConstraintTypeError, RunInterrupted
-from repro.mining.backends import backend_scope
 from repro.mining.lattice import ConstrainedLattice, LatticeResult
 from repro.obs.trace import resolve_tracer
 from repro.runtime.guard import resolve_guard
@@ -53,7 +52,6 @@ def mine_skeleton(
     min_count: int,
     counters: Optional[OpCounters] = None,
     max_level: Optional[int] = None,
-    backend=None,
     tracer=None,
     guard=None,
     keep_border: bool = True,
@@ -83,7 +81,6 @@ def mine_skeleton(
         constraints=(),
         counters=counters,
         max_level=max_level,
-        backend=backend,
         tracer=tracer,
         guard=guard,
         keep_border=keep_border,
@@ -98,7 +95,6 @@ def cap_mine(
     constraints: Sequence[Constraint] = (),
     counters: Optional[OpCounters] = None,
     max_level: Optional[int] = None,
-    backend=None,
     tracer=None,
     guard=None,
     keep_border: bool = False,
@@ -117,9 +113,6 @@ def cap_mine(
         Absolute support threshold.
     constraints:
         The 1-var constraints to push (all must be on ``var``).
-    backend:
-        Counting backend name or instance (see
-        :mod:`repro.mining.backends`); defaults to the hybrid strategy.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; records one ``level``
         span per mining level with candidate/pruning attributes.
@@ -141,33 +134,28 @@ def cap_mine(
         counters=counters,
         max_level=max_level,
         keep_border=keep_border,
-        backend=backend,
         guard=guard,
     )
-    # One backend scope per mining run: a parallel backend forks its
-    # worker pool once and reuses it across every level.
     with tracer.span(
         "cap.run",
         var=var,
         min_count=min_count,
         constraints=[str(c) for c in constraints] if tracer.enabled else None,
-        backend=getattr(lattice.backend, "name", None) or "hybrid",
     ):
-        with backend_scope(lattice.backend):
-            try:
-                while True:
-                    level = lattice.level + 1
-                    with tracer.span("level", var=var, level=level) as span:
-                        progressed = lattice.count_and_absorb()
-                        if tracer.enabled:
-                            span.set(
-                                candidates_in=lattice.counted_per_level.get(level, 0),
-                                frequent_out=len(lattice.frequent.get(level, {})),
-                                pruned=dict(lattice.prune_counts.get(level, {})),
-                            )
-                    if not progressed:
-                        break
-            except RunInterrupted as exc:
-                exc.partial = lattice.result()
-                raise
+        try:
+            while True:
+                level = lattice.level + 1
+                with tracer.span("level", var=var, level=level) as span:
+                    progressed = lattice.count_and_absorb()
+                    if tracer.enabled:
+                        span.set(
+                            candidates_in=lattice.counted_per_level.get(level, 0),
+                            frequent_out=len(lattice.frequent.get(level, {})),
+                            pruned=dict(lattice.prune_counts.get(level, {})),
+                        )
+                if not progressed:
+                    break
+        except RunInterrupted as exc:
+            exc.partial = lattice.result()
+            raise
     return lattice.result()

@@ -11,13 +11,13 @@ array operations:
 
 * :func:`count_singletons` is one ``bincount`` over the entry codes;
 * :func:`count_candidates` ANDs the candidates' rows of the layout's
-  packed uint64 bitmap and popcounts them, through the chunked gather of
-  :mod:`repro.mining.bitmap`.  The bitmap is built once per layout and
-  cached on it, so the trimmed layout a lattice counts every level
-  against is packed once.  Gather buffers are sized by
-  :data:`WORD_BUDGET`: each chunk holds ``max(1, WORD_BUDGET // n_words)``
-  candidates, so the kernel's memory beyond the bitmap is bounded by the
-  budget, not by the batch.
+  packed uint64 bitmap and popcounts them (:func:`popcount_words`) in
+  chunked gathers.  The bitmap is built once per layout and cached on
+  it, so the trimmed layout a lattice counts every level against is
+  packed once.  Gather buffers are sized by :data:`WORD_BUDGET`: each
+  chunk holds ``max(1, WORD_BUDGET // n_words)`` candidates, so the
+  kernel's memory beyond the bitmap is bounded by the budget, not by the
+  batch.
 
 Metering
 --------
@@ -44,23 +44,19 @@ i.e. ``n_entries``.
 
 Shard additivity
 ----------------
-:func:`count_candidates` is the kernel of the transaction-sharded
-:class:`~repro.mining.backends.ParallelBackend`, which relies on two
-audited invariants:
+Both figures the kernel produces are per-transaction sums, so they
+distribute over any partition of the transaction list (a CSR slice of a
+layout counts like any other layout):
 
-* **supports** are per-transaction sums (popcounts of disjoint bit
-  ranges), so they distribute over any partition of the transaction list;
-* **probe metering** is likewise a per-transaction sum whose
-  per-transaction term depends only on the transaction and the candidate
-  set — ``m_t`` is a property of one transaction, and the
-  enumerate-vs-scan threshold ``|C| * k`` depends only on the candidate
-  set — so the histogram of a partition's parts sums to the whole's
-  histogram, and per-shard work sums to exactly the serial total.
+* **supports** are popcounts of disjoint bit ranges;
+* **probe metering** has a per-transaction term that depends only on the
+  transaction and the candidate set — ``m_t`` is a property of one
+  transaction, and the enumerate-vs-scan threshold ``|C| * k`` depends
+  only on the candidate set — so the histogram of a partition's parts
+  sums to the whole's histogram.
 
-The candidate-set ledger (``record_counted``) is *not* additive across
-shards — every shard counts the same candidates — which is why sharded
-runs merge their counters with
-:func:`repro.db.stats.merge_shard_counters` instead of summing.
+The candidate-set ledger (``record_counted``) is *not* additive: every
+part counts the same candidates.
 """
 
 from __future__ import annotations
@@ -74,13 +70,29 @@ import numpy as np
 from repro.db.columns import as_columns
 from repro.db.stats import OpCounters
 from repro.errors import ExecutionError
-from repro.mining.bitmap import _count_gather
 from repro.mining.itemsets import Itemset
 
 #: uint64 words per gather buffer.  A chunk of the candidate batch holds
 #: ``max(1, WORD_BUDGET // n_words)`` candidates, and the histogram pass
 #: reads at most this many entries at a time.
 WORD_BUDGET = 1 << 15
+
+#: Set bits per byte value, for numpys without ``bitwise_count``.
+_POPCOUNT_TABLE = np.array([bin(v).count("1") for v in range(256)],
+                           dtype=np.uint16)
+
+
+def popcount_words(words):
+    """Per-element popcount of a uint64 array.
+
+    Uses ``numpy.bitwise_count`` when available (numpy >= 2.0); older
+    numpys fall back to a byte-view lookup table — same results, a few
+    times slower, still fully vectorized.
+    """
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(words)
+    lookup = _POPCOUNT_TABLE[words.view(np.uint8)]
+    return lookup.reshape(*words.shape, 8).sum(axis=-1)
 
 
 def count_singletons(
@@ -151,6 +163,35 @@ def count_candidates(
         counters.record_counted(var, k, n)
         counters.subset_tests += _hybrid_work(columns, codes, n * k, k)
     return support
+
+
+def _count_gather(matrix, index, chunk_size, tick=None):
+    """Chunked gather + AND + popcount over row indices ``(n, k)``.
+
+    Work buffers are preallocated once and reused across chunks, so the
+    kernel's memory high-water mark is two ``(chunk, words)`` arrays
+    regardless of batch size.  ``tick``, when given, is called with each
+    chunk's candidate count before the chunk is counted (the cooperative
+    guard checks).
+    """
+    n, k = index.shape
+    n_words = matrix.shape[1]
+    chunk = min(chunk_size, n)
+    acc = np.empty((chunk, n_words), dtype=np.uint64)
+    tmp = np.empty((chunk, n_words), dtype=np.uint64)
+    counts = np.empty(n, dtype=np.int64)
+    for start in range(0, n, chunk):
+        sub = index[start:start + chunk]
+        b = len(sub)
+        if tick is not None:
+            tick(b)
+        np.take(matrix, sub[:, 0], axis=0, out=acc[:b])
+        for j in range(1, k):
+            np.take(matrix, sub[:, j], axis=0, out=tmp[:b])
+            np.bitwise_and(acc[:b], tmp[:b], out=acc[:b])
+        np.sum(popcount_words(acc[:b]), axis=1, dtype=np.int64,
+               out=counts[start:start + b])
+    return counts
 
 
 def _hybrid_work(columns, codes, scan_cost: int, k: int) -> int:

@@ -41,12 +41,10 @@ from repro.db.columns import TransactionColumns
 from repro.db.stats import OpCounters
 from repro.db.transactions import TransactionDatabase
 from repro.errors import ExecutionError
-from repro.mining.backends import backend_scope, guarded_count, make_backend
 from repro.mining.cap import compile_constraints
 from repro.mining.counting import count_singletons
 from repro.mining.lattice import ConstrainedLattice, LatticeResult
 from repro.obs.logs import get_logger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import resolve_tracer
 from repro.runtime.checkpoint import Checkpoint, CountEvent
 from repro.runtime.guard import resolve_guard
@@ -84,7 +82,6 @@ class DovetailEngine:
         use_jmax: bool = True,
         max_level: Optional[int] = None,
         keep_candidates: bool = False,
-        backend=None,
         reduction_rounds: int = 1,
         tracer=None,
         guard=None,
@@ -102,10 +99,6 @@ class DovetailEngine:
         self.use_jmax = use_jmax
         self.max_level = max_level
         self.keep_candidates = keep_candidates
-        # Resolve the backend ONCE and share the instance across both
-        # lattices: stateful backends (the parallel worker pool, the
-        # vertical TID-list cache) must be per-run, not per-lattice.
-        self.backend = make_backend(backend) if backend is not None else None
         self.reduction_rounds = reduction_rounds
         self.tracer = resolve_tracer(tracer)
         self.guard = resolve_guard(guard)
@@ -138,22 +131,15 @@ class DovetailEngine:
     # Entry point
     # ------------------------------------------------------------------
     def run(self) -> DovetailResult:
-        """Execute the plan and return per-variable results.
-
-        The whole run executes inside one :func:`backend_scope`, so a
-        resource-holding backend (the parallel worker pool) is acquired
-        once and reused across every dovetailed level of both lattices.
-        """
+        """Execute the plan and return per-variable results."""
         with self.tracer.span(
             "dovetail.run",
             dovetail=self.dovetail,
             use_reduction=self.use_reduction,
             use_jmax=self.use_jmax,
-            backend=getattr(self.backend, "name", None) or "hybrid",
             variables=sorted(self.plan.var_plans),
         ):
-            with backend_scope(self.backend):
-                return self._run()
+            return self._run()
 
     def _run(self) -> DovetailResult:
         logger.debug(
@@ -267,7 +253,6 @@ class DovetailEngine:
                 counters=self.counters,
                 max_level=self.max_level,
                 keep_candidates=self.keep_candidates,
-                backend=self.backend,
                 guard=self.guard,
             )
         return lattices, projected
@@ -352,8 +337,8 @@ class DovetailEngine:
             )
             support = {(e,): n for e, n in raw.items()}
         else:
-            support = guarded_count(
-                lattice.backend, lattice.transactions, candidates, k,
+            support = lattice.backend.count(
+                lattice.transactions, candidates, k,
                 self.counters, lattice.var, guard=self.guard,
             )
         if self.checkpointer is not None:
@@ -402,12 +387,10 @@ class DovetailEngine:
         )
 
     def _finish_level_span(
-        self, span, lattice, level: int, candidates_in: int,
-        attach_shards: bool = False,
+        self, span, lattice, level: int, candidates_in: int
     ) -> None:
         """Close out one per-(variable, level) span: frequent-out and
-        pruning attribution, plus the sharded backend's per-shard
-        timings for this pass (joined from ``ParallelStats``)."""
+        pruning attribution."""
         if not self.tracer.enabled:
             return
         frequent_out = len(lattice.frequent.get(level, {}))
@@ -418,24 +401,6 @@ class DovetailEngine:
         metrics = self.tracer.metrics
         metrics.inc("candidates_counted", candidates_in, var=lattice.var)
         metrics.inc("frequent_sets", frequent_out, var=lattice.var)
-        stats = getattr(lattice.backend, "stats", None)
-        if attach_shards and stats is not None and getattr(stats, "levels", None):
-            last = stats.levels[-1]
-            span.set(
-                shard_sizes=list(last.shard_sizes),
-                shard_seconds=[round(s, 6) for s in last.shard_seconds],
-                shard_merge_seconds=round(last.merge_seconds, 6),
-                pooled=not last.in_process,
-            )
-            # Shards run out-of-process and cannot write into the run
-            # registry directly: their observations are staged in a
-            # shard-local registry and folded in exactly (counters add,
-            # histograms merge bucket-for-bucket).
-            shard_metrics = MetricsRegistry()
-            for size, seconds in zip(last.shard_sizes, last.shard_seconds):
-                shard_metrics.observe("shard_seconds", seconds, var=lattice.var)
-                shard_metrics.inc("shard_tuples", size, var=lattice.var)
-            metrics.merge(shard_metrics)
 
     def _apply_reductions(self, lattices) -> None:
         """Install the Figure 2/3 reductions; optionally iterate.
@@ -611,9 +576,7 @@ class DovetailEngine:
                 ) as span:
                     support = self._count_level(lattice, candidates, level)
                     lattice.absorb(support)
-                    self._finish_level_span(
-                        span, lattice, level, len(candidates), attach_shards=True
-                    )
+                    self._finish_level_span(span, lattice, level, len(candidates))
                 self.guard.level_completed(lattice.var, level)
             self._update_series(lattices)
             self._level_boundary(lattices)
@@ -640,9 +603,7 @@ class DovetailEngine:
                 ) as span:
                     support = self._count_level(lattice, candidates, level)
                     lattice.absorb(support)
-                    self._finish_level_span(
-                        span, lattice, level, len(candidates), attach_shards=True
-                    )
+                    self._finish_level_span(span, lattice, level, len(candidates))
                 self.guard.level_completed(lattice.var, level)
                 self._update_series(lattices, only_var=var)
                 self._level_boundary(lattices)

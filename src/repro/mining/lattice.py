@@ -40,7 +40,7 @@ from repro.constraints.pruners import CompiledPruning
 from repro.db.columns import as_columns
 from repro.db.stats import OpCounters
 from repro.errors import ExecutionError
-from repro.mining.backends import guarded_count, make_backend
+from repro.mining.backends import HybridBackend
 from repro.mining.candidates import generate_pairs, join_and_prune
 from repro.mining.counting import count_singletons, frequent_only
 from repro.mining.itemsets import Itemset, canonical
@@ -141,7 +141,6 @@ class ConstrainedLattice:
         max_level: Optional[int] = None,
         keep_candidates: bool = False,
         keep_border: bool = False,
-        backend=None,
         guard=None,
     ):
         if min_count < 1:
@@ -164,7 +163,7 @@ class ConstrainedLattice:
         self.candidate_log: Dict[int, List[Itemset]] = {}
         self.keep_border = keep_border
         self.border: Dict[int, Dict[Itemset, int]] = {}
-        self.backend = make_backend(backend if backend is not None else "hybrid")
+        self.backend = HybridBackend()
         # Pruning attribution (level -> reason -> count): plain integer
         # bookkeeping, always on — the observability layer's trace spans
         # and run-report pruning table read it after the fact, so a
@@ -271,8 +270,8 @@ class ConstrainedLattice:
             self.absorb({(e,): n for e, n in supports.items()})
         else:
             self.absorb(
-                guarded_count(self.backend, self.transactions, cands, k,
-                              self.counters, self.var, guard=self.guard)
+                self.backend.count(self.transactions, cands, k,
+                                   self.counters, self.var, guard=self.guard)
             )
         self.guard.level_completed(self.var, k)
         return self.active

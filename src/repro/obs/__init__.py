@@ -4,7 +4,7 @@ run reports.
 The pipeline's quantitative story (where pruning happened, what each
 level cost, how the ``W^k`` bounds tightened) is captured by a span
 tracer and a metrics registry threaded through the optimizer, the
-dovetail engine and the counting backends, then exported as a
+dovetail engine and the miners, then exported as a
 versioned JSON :class:`RunReport`.  Tracing is opt-in; the
 :data:`NULL_TRACER` default keeps disabled runs within a few method
 calls per mining level of an uninstrumented build.

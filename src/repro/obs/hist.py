@@ -24,9 +24,10 @@ DDSketch) scheme:
   1% accuracy, never O(observations);
 * histograms **merge** by adding bucket counts, which is exact (the
   merged histogram equals the histogram of the concatenated streams)
-  and associative/commutative — parallel-shard registries fold into the
-  run registry through :meth:`~repro.obs.metrics.MetricsRegistry.merge`
-  without approximation drift.
+  and associative/commutative — per-run registries fold into a
+  process-lifetime one through
+  :meth:`~repro.obs.metrics.MetricsRegistry.merge` without
+  approximation drift.
 
 ``count``/``sum``/``min``/``max``/``mean`` remain exact (tracked
 directly, not reconstructed from buckets), so everything the PR 3

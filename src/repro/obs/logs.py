@@ -39,7 +39,7 @@ def get_logger(name: str) -> logging.Logger:
     """A logger under the ``repro.`` namespace.
 
     Pass a module's ``__name__`` (already ``repro.*``) or a bare
-    suffix such as ``"mining.backends"``.
+    suffix such as ``"mining.dovetail"``.
     """
     if name != ROOT_LOGGER_NAME and not name.startswith(ROOT_LOGGER_NAME + "."):
         name = f"{ROOT_LOGGER_NAME}.{name}"

@@ -2,8 +2,8 @@
 
 The registry complements the span tracer (:mod:`repro.obs.trace`): spans
 answer *where time went*, metrics answer *how much of each thing
-happened* — candidates generated, sets pruned per constraint, shards
-dispatched, bounds tightened.  Instruments are named and optionally
+happened* — candidates generated, sets pruned per constraint, bounds
+tightened.  Instruments are named and optionally
 **labeled** (sorted key=value pairs appended to the name), in the style
 of Prometheus clients; :mod:`repro.obs.export` renders a registry in
 Prometheus text exposition format, and the registry serializes into the
@@ -14,8 +14,7 @@ with a bounded relative error, so ``histogram(...).p99`` answers the
 latency questions summary statistics cannot.  Registries **merge**
 (:meth:`MetricsRegistry.merge`): counters add, gauges take the incoming
 value (last write wins), histograms fold bucket-exactly — which is how
-parallel-shard registries and per-run registries roll up into a
-process-lifetime one.
+per-run registries roll up into a process-lifetime one.
 
 A :data:`NULL_METRICS` singleton mirrors the null tracer so disabled
 runs pay one no-op call per recording site.
@@ -186,7 +185,7 @@ class MetricsRegistry:
             return self.histograms.get(_key(name, labels))
 
     # ------------------------------------------------------------------
-    # Merging (shard → run → process roll-ups)
+    # Merging (run → process roll-ups)
     # ------------------------------------------------------------------
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other`` into this registry in place (and return self).
@@ -201,10 +200,8 @@ class MetricsRegistry:
           (:meth:`QuantileHistogram.merge`), never aliasing ``other``'s
           stores.
 
-        This is how parallel-shard registries fold into the run registry
-        and per-run registries into a :class:`ServiceTelemetry`'s
-        process-lifetime registry; before it existed, shard metrics
-        beyond ``ParallelStats`` were silently dropped.
+        This is how per-run registries fold into a
+        :class:`ServiceTelemetry`'s process-lifetime registry.
         """
         # Snapshot ``other`` under its own lock first, then fold under
         # ours — never both at once, so two registries can merge in

@@ -7,8 +7,6 @@ one JSON document per run bundling
   time and structured attributes per pipeline stage),
 * the **metrics registry** snapshot,
 * the ccc **operation counters** (:class:`repro.db.stats.OpCounters`),
-* the parallel-backend statistics when a sharded backend ran
-  (:class:`repro.db.stats.ParallelStats`, per-shard timings included),
 * the **per-level pruning table** (candidates counted, frequent
   survivors, and sets pruned per constraint, per variable per level —
   the quantities behind the paper's Figures 8–9 arguments),
@@ -51,6 +49,9 @@ RUN_REPORT_SCHEMA = "repro.run_report"
 #:       ``ServiceTelemetry.snapshot()``: process-lifetime per-outcome
 #:       latency histograms, hit-ratio/occupancy gauges, event-journal
 #:       summary); v1–v4 documents remain readable
+#: Documents of every version may carry an optional ``parallel_stats``
+#: block (shard timings of a sharded counting backend the library no
+#: longer has); new reports omit it and readers ignore it.
 RUN_REPORT_VERSION = 5
 SUPPORTED_REPORT_VERSIONS = (1, 2, 3, 4, 5)
 
@@ -179,7 +180,6 @@ class RunReport:
     trace: Dict[str, Any] = field(default_factory=lambda: {"spans": []})
     metrics: Dict[str, Any] = field(default_factory=dict)
     op_counters: Dict[str, Any] = field(default_factory=dict)
-    parallel_stats: Optional[Dict[str, Any]] = None
     pruning: Dict[str, Dict[str, Dict[str, int]]] = field(default_factory=dict)
     bound_histories: Dict[str, List[List[float]]] = field(default_factory=dict)
     answers: Dict[str, Any] = field(default_factory=dict)
@@ -229,7 +229,6 @@ class RunReport:
             "trace": self.trace,
             "metrics": self.metrics,
             "op_counters": self.op_counters,
-            "parallel_stats": self.parallel_stats,
             "pruning": self.pruning,
             "bound_histories": self.bound_histories,
             "answers": self.answers,
@@ -286,7 +285,6 @@ class RunReport:
             trace=document["trace"],
             metrics=document["metrics"],
             op_counters=document["op_counters"],
-            parallel_stats=document.get("parallel_stats"),
             pruning=document["pruning"],
             bound_histories=document.get("bound_histories", {}),
             answers=document["answers"],
@@ -313,7 +311,7 @@ def build_run_report(
 ) -> RunReport:
     """Assemble a :class:`RunReport` from a finished
     :class:`~repro.core.optimizer.CFQResult` (or any object exposing
-    ``counters``, ``raw`` and optionally ``backend``/``cfq``).
+    ``counters``, ``raw`` and optionally ``cfq``).
 
     ``tracer`` defaults to the trace attached to the result (if any);
     ``profile`` is an optional collected :class:`cProfile.Profile`;
@@ -323,14 +321,10 @@ def build_run_report(
     """
     tracer = tracer if tracer is not None else getattr(result, "trace", None)
     raw = result.raw
-    stats = getattr(getattr(result, "backend", None), "stats", None)
     doc_meta: Dict[str, Any] = {}
     cfq = getattr(result, "cfq", None)
     if cfq is not None:
         doc_meta["query"] = str(cfq)
-    backend = getattr(result, "backend", None)
-    if backend is not None:
-        doc_meta["backend"] = getattr(backend, "name", type(backend).__name__)
     if meta:
         doc_meta.update(meta)
     answers: Dict[str, Any] = {}
@@ -352,10 +346,6 @@ def build_run_report(
             else {"counters": {}, "gauges": {}, "histograms": {}}
         ),
         op_counters=_counters_section(result.counters),
-        parallel_stats=(
-            stats.as_dict() if stats is not None and getattr(stats, "levels", None)
-            else None
-        ),
         pruning=pruning_summary(raw),
         bound_histories={
             key: [[k, bound] for k, bound in history]

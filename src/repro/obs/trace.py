@@ -6,7 +6,7 @@ scan work *level by level* — so every stage of the pipeline opens a
 :class:`Span` describing what it did: the optimizer one per planning
 rule fired, the dovetail engine one per mining level per variable
 (carrying candidates-in / frequent-out / pruned-by-which-constraint
-attributes), the counting backends one per sharded pass.  The resulting
+attributes).  The resulting
 tree serializes into the run report (:mod:`repro.obs.report`), and
 ``CFQResult.explain()`` renders its per-level pruning table from it.
 

@@ -95,7 +95,7 @@ class CountEvent:
     """One counting pass: the supports a ``(var, level)`` pass produced.
 
     ``supports`` preserves the exact mapping (and its insertion order)
-    the counting backend returned — for level 1 the keys are singleton
+    the counting kernel returned — for level 1 the keys are singleton
     tuples wrapping the raw :func:`count_singletons` elements.
     ``candidates_in`` is the number of candidates that were counted;
     replay asserts the regenerated candidates match it, catching

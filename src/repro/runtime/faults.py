@@ -1,12 +1,10 @@
 """Deterministic, seeded, process-wide fault injection for the serving stack.
 
-PR 2's :class:`~repro.mining.backends.FaultInjector` proved the worker
-pool degrades bit-identically under crash/hang/kill — but it stops at the
-pool.  This module generalizes the idea to **every infrastructure seam**
-the serving stack crosses: filesystem writes and reads (torn write,
-short read, ``ENOSPC``, ``EACCES``, ``EIO``, corrupt bytes, rename
-failure), the event journal's append/rotate path, checkpoint
-persistence, incremental skeleton refresh, and the monotonic clock.
+This module injects faults at **every infrastructure seam** the serving
+stack crosses: filesystem writes and reads (torn write, short read,
+``ENOSPC``, ``EACCES``, ``EIO``, corrupt bytes, rename failure), the
+event journal's append/rotate path, checkpoint persistence, incremental
+skeleton refresh, and the monotonic clock.
 
 The design is a *plan*, not a monkeypatch: production code threads its
 fragile operations through the tiny helpers here

@@ -22,11 +22,6 @@ input that can change the answer:
   options (``dovetail``, ``use_reduction``, ``use_jmax``,
   ``reduction_rounds``) joined with the dataset and query fingerprints
   into the final cache key.
-
-The counting ``backend`` is deliberately *excluded* from the key: every
-backend is bit-identical on answers (the backend differential suite
-proves it), so a result mined with one backend may be served to a query
-requesting another.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ from repro.runtime.checkpoint import transactions_digest
 
 #: Engine options that change the answer artifacts (counters included)
 #: and therefore participate in the result key; everything else —
-#: backend choice, tracer, guard — does not.
+#: tracer, guard — does not.
 RESULT_OPTIONS = ("dovetail", "use_reduction", "use_jmax", "reduction_rounds")
 
 
@@ -57,9 +52,8 @@ class _IdentityMemo:
     Warm servings would otherwise re-hash an unchanged database (or
     catalog) on every lookup — the dominant cost of a cache hit.  The
     memo keeps a strong reference to each memoized object, so an id can
-    never be recycled by a different object while its digest is live
-    (the same invariant :class:`~repro.mining.backends.VerticalBackend`
-    relies on); both classes build their content immutably at
+    never be recycled by a different object while its digest is live;
+    both classes build their content immutably at
     construction, which is what makes identity a sound proxy for
     content *for the same object*.
 

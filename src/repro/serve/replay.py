@@ -272,7 +272,6 @@ def verify_cold(
     db,
     domains: Dict[str, Any],
     default_minsup: float = 0.02,
-    backend=None,
 ) -> Dict[str, Any]:
     """Ground-truth every served answer against a cold re-execution.
 
@@ -313,7 +312,7 @@ def verify_cold(
         cfq = parse_cfq(
             spec["query"], domains, default_minsup=float(spec["minsup"])
         )
-        cold = CFQOptimizer(cfq).execute(db, backend=backend, **spec["options"])
+        cold = CFQOptimizer(cfq).execute(db, **spec["options"])
         oracle = json.loads(json.dumps(answer_document(cold)))
         for member in complete:
             checked += 1

@@ -173,8 +173,6 @@ class QueryServer:
         options), and only complete answers are cached.
     default_minsup:
         Support threshold for queries that set none.
-    backend:
-        Counting backend handed to every execution.
     """
 
     def __init__(
@@ -187,7 +185,6 @@ class QueryServer:
         max_width: int = 16,
         queue_limit: int = 64,
         default_minsup: float = 0.02,
-        backend=None,
         doc_cache_entries: int = 128,
         clock: Callable[[], float] = time.monotonic,
     ):
@@ -206,7 +203,6 @@ class QueryServer:
         )
         self.queue_limit = queue_limit
         self.default_minsup = default_minsup
-        self.backend = backend
         # Rendered (answer_dict, answer_json) pairs by result key; the
         # values are immutable by convention — every reader shares them.
         self._docs = LRUCache(max_entries=doc_cache_entries)
@@ -391,7 +387,7 @@ class QueryServer:
             }
         if self.service.is_warm(db, request.cfq, **request.options):
             result = self.service.execute(
-                db, request.cfq, backend=self.backend, **request.options
+                db, request.cfq, **request.options
             )
             return self._respond(request, result, start, source="fast-path")
 
@@ -439,7 +435,6 @@ class QueryServer:
                 result = self.service.execute(
                     db,
                     request.cfq,
-                    backend=self.backend,
                     guard=request.profile.guard(),
                     **request.options,
                 )
@@ -455,7 +450,6 @@ class QueryServer:
             report = self.service.execute_batch(
                 db,
                 [member.cfq for member in members],
-                backend=self.backend,
                 guard=request.profile.guard(),
                 **request.options,
             )

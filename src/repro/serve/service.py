@@ -535,7 +535,6 @@ class QueryService:
         db: TransactionDatabase,
         cfq: CFQ,
         counters: Optional[OpCounters] = None,
-        backend=None,
         tracer=None,
         guard=None,
         **options: Any,
@@ -552,7 +551,7 @@ class QueryService:
         if any(options.get(name) for name in _BYPASS_OPTIONS):
             start = time.perf_counter()
             result = optimizer.execute(
-                db, counters=counters, backend=backend, tracer=tracer,
+                db, counters=counters, tracer=tracer,
                 guard=guard, cache=self, **options,
             )
             self._finish_serve(result, time.perf_counter() - start, db, cfq)
@@ -562,7 +561,7 @@ class QueryService:
         oracle = self._existing_oracle(db, cfq)
         if oracle is None:
             result = optimizer.execute(
-                db, counters=counters, backend=backend, tracer=tracer,
+                db, counters=counters, tracer=tracer,
                 guard=guard, cache=self, **options,
             )
         else:
@@ -572,7 +571,7 @@ class QueryService:
                 result = self._materialize_hit(db, cfq, hit, counters, tracer)
             else:
                 result = optimizer.execute(
-                    db, counters=counters, backend=backend, tracer=tracer,
+                    db, counters=counters, tracer=tracer,
                     guard=guard, support_oracle=oracle, **options,
                 )
                 result.cache_info = self._info(
@@ -672,7 +671,6 @@ class QueryService:
             plan=plan,
             counters=counters,
             raw=raw,
-            backend=None,
             trace=tracer if tracer.enabled else None,
             status="complete",
             cache_info=dict(hit.info),
@@ -696,7 +694,6 @@ class QueryService:
         self,
         db: TransactionDatabase,
         cfqs: Sequence[CFQ],
-        backend=None,
         tracer=None,
         guard=None,
         **options: Any,
@@ -724,7 +721,7 @@ class QueryService:
         dataset_fp = dataset_fingerprint(db)
         batch_start = time.perf_counter()
         skeletons, build_seconds, failed = self._prepare_skeletons(
-            db, cfqs, dataset_fp, backend=backend, tracer=tracer, guard=guard
+            db, cfqs, dataset_fp, tracer=tracer, guard=guard
         )
         items: List[BatchItem] = []
         for cfq in cfqs:
@@ -743,7 +740,7 @@ class QueryService:
                 oracle = SupportOracle.for_query(cfq, db, per_var)
                 if oracle is not None:
                     result = CFQOptimizer(cfq).execute(
-                        db, backend=backend, tracer=tracer, guard=guard,
+                        db, tracer=tracer, guard=guard,
                         support_oracle=oracle, **options,
                     )
                     result.cache_info = self._info(
@@ -752,7 +749,7 @@ class QueryService:
                     source = "skeleton"
                 else:
                     result = CFQOptimizer(cfq).execute(
-                        db, backend=backend, tracer=tracer, guard=guard,
+                        db, tracer=tracer, guard=guard,
                         **options,
                     )
                     source = "cold"
@@ -798,7 +795,6 @@ class QueryService:
         self,
         db: TransactionDatabase,
         cfqs: Sequence[CFQ],
-        backend=None,
         tracer=None,
         guard=None,
     ) -> int:
@@ -806,7 +802,7 @@ class QueryService:
         number of skeletons now servable for it."""
         dataset_fp = dataset_fingerprint(db)
         skeletons, _, _ = self._prepare_skeletons(
-            db, cfqs, dataset_fp, backend=backend,
+            db, cfqs, dataset_fp,
             tracer=resolve_tracer(tracer), guard=guard,
         )
         return sum(1 for skeleton in skeletons.values() if skeleton is not None)
@@ -816,7 +812,6 @@ class QueryService:
         db: TransactionDatabase,
         cfqs: Sequence[CFQ],
         dataset_fp: str,
-        backend=None,
         tracer=None,
         guard=None,
     ):
@@ -849,7 +844,7 @@ class QueryService:
                 ):
                     skeleton = build_skeleton(
                         db, domain, weakest,
-                        backend=backend, guard=guard, tracer=tracer,
+                        guard=guard, tracer=tracer,
                     )
             except RunInterrupted:
                 # A partial lattice must never serve as an oracle: leave
@@ -875,7 +870,6 @@ class QueryService:
         self,
         new_db: TransactionDatabase,
         delta: DatasetDelta,
-        backend=None,
         tracer=None,
         guard=None,
     ) -> DeltaMaintenanceReport:
@@ -914,12 +908,6 @@ class QueryService:
         )
         report.results_invalidated = self._results.invalidate_tag(base_fp)
         report.disk_invalidated = self._sweep_disk(base_fp)
-        # A delta-capable counting backend (bitmap) can derive the new
-        # dataset's packed matrix from the cached base one, so later
-        # counting passes skip the repack.  Purely an optimization —
-        # a backend without the hook just packs cold on first use.
-        if backend is not None and hasattr(backend, "apply_delta"):
-            backend.apply_delta(new_db.transactions, delta)
         for key, entry in self._skeletons.items():
             if entry.tag != base_fp:
                 continue

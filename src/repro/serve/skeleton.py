@@ -139,7 +139,6 @@ def build_skeleton(
     domain,
     min_count: int,
     var: str = "S",
-    backend=None,
     guard=None,
     tracer=None,
 ) -> Skeleton:
@@ -158,7 +157,6 @@ def build_skeleton(
         transactions=projected,
         min_count=min_count,
         counters=counters,
-        backend=backend,
         guard=guard,
         tracer=tracer,
     )

@@ -1,5 +1,5 @@
-"""Counting backends: hash tree, vertical TID-lists, hybrid — all must
-agree with each other and with the brute-force oracle."""
+"""The per-level counting entry point (``HybridBackend``) must agree with
+direct support and with the brute-force oracle, and meter its work."""
 
 from itertools import combinations
 
@@ -8,24 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db.stats import OpCounters
-from repro.errors import ExecutionError
-from repro.mining.backends import (
-    BACKENDS,
-    HashTreeBackend,
-    HybridBackend,
-    ParallelBackend,
-    VerticalBackend,
-    backend_scope,
-    make_backend,
-)
-from repro.mining.hashtree import HashTree, build_hash_tree
-from repro.mining.vertical import build_tidlists, count_with_tidlists
-from tests.conftest import brute_frequent
+from repro.mining.backends import HybridBackend
+
+BACKENDS = {HybridBackend.name: HybridBackend}
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_backend_agrees_with_direct_support(market_db, name):
-    backend = make_backend(name)
+    backend = BACKENDS[name]()
     candidates = [(1, 2), (4, 5), (2, 3), (1, 6), (3, 6)]
     support = backend.count(market_db.transactions, candidates, 2)
     for candidate in candidates:
@@ -34,128 +24,8 @@ def test_backend_agrees_with_direct_support(market_db, name):
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_backend_empty_candidates(market_db, name):
-    backend = make_backend(name)
+    backend = BACKENDS[name]()
     assert backend.count(market_db.transactions, [], 2) == {}
-
-
-def test_make_backend_passthrough_and_errors():
-    backend = HybridBackend()
-    assert make_backend(backend) is backend
-    # ExecutionError (a ReproError), so the CLI renders a clean error
-    # instead of a traceback.
-    with pytest.raises(ExecutionError):
-        make_backend("quantum")
-
-
-@pytest.mark.parametrize(
-    "spec",
-    ["parallel:", "parallel:abc", "parallel:0", "parallel:-2",
-     "hybrid:4", "quantum", "quantum:3"],
-)
-def test_make_backend_malformed_specs_raise_execution_error(spec):
-    with pytest.raises(ExecutionError):
-        make_backend(spec)
-
-
-def test_make_backend_parallel_spec_builds_pinned_workers():
-    backend = make_backend("parallel:3")
-    assert isinstance(backend, ParallelBackend)
-    assert backend.workers == 3
-
-
-def test_hash_tree_structure_splits():
-    tree = build_hash_tree(
-        [tuple(sorted((a, b))) for a in range(10) for b in range(a + 1, 10)],
-        2,
-        leaf_size=4,
-    )
-    assert tree.size == 45
-    assert not tree.root.is_leaf
-
-
-def test_hash_tree_rejects_wrong_size():
-    tree = HashTree(3)
-    with pytest.raises(ValueError):
-        tree.insert((1, 2))
-
-
-def test_hash_tree_counts_duplicated_buckets(market_db):
-    """Items 1 and 17 share a bucket at fanout 16; routing must still
-    reach candidates starting with the later item."""
-    transactions = [(1, 17, 20), (17, 20), (1, 20)]
-    tree = build_hash_tree([(17, 20)], 2, leaf_size=1, fanout=16)
-    support = tree.count(transactions)
-    assert support[(17, 20)] == 2
-
-
-def test_tidlists():
-    lists = build_tidlists([(1, 2), (2, 3), (1, 3)])
-    assert lists[1] == frozenset({0, 2})
-    assert lists[2] == frozenset({0, 1})
-    support = count_with_tidlists(lists, [(1, 2), (1, 3), (1, 2, 3)])
-    assert support == {(1, 2): 1, (1, 3): 1, (1, 2, 3): 0}
-
-
-def test_vertical_backend_caches_per_list(market_db):
-    backend = VerticalBackend()
-    backend.count(market_db.transactions, [(1, 2)], 2)
-    assert backend.builds == 1
-    backend.count(market_db.transactions, [(4, 5)], 2)
-    # Same list object -> cache hit, no rebuild.
-    assert backend.builds == 1
-
-
-def test_vertical_backend_caches_multiple_lists(market_db):
-    """A shared backend instance (one per dovetailed run) must keep both
-    lattices' transaction lists cached at once."""
-    backend = VerticalBackend()
-    other = list(market_db.transactions[:3])
-    backend.count(market_db.transactions, [(1, 2)], 2)
-    backend.count(other, [(1, 2)], 2)
-    assert backend.builds == 2
-    backend.count(market_db.transactions, [(2, 3)], 2)
-    backend.count(other, [(2, 3)], 2)
-    assert backend.builds == 2
-
-
-def test_vertical_backend_keys_on_content_not_identity(market_db):
-    """Regression: the TID-list cache must key on transaction *content*,
-    not object identity — two equal-content loads of one dataset share a
-    single build, and a recycled ``id()`` can never alias a different
-    dataset's TID-lists."""
-    backend = VerticalBackend()
-    copy_a = list(market_db.transactions)
-    copy_b = [tuple(t) for t in market_db.transactions]
-    assert copy_a is not copy_b
-    result_a = backend.count(copy_a, [(1, 2)], 2)
-    assert backend.builds == 1
-    result_b = backend.count(copy_b, [(1, 2)], 2)
-    assert backend.builds == 1  # equal content -> shared TID-lists
-    assert result_a == result_b
-    # Different content must never be served from the shared entry.
-    different = [t for t in market_db.transactions if 1 not in t]
-    result_c = backend.count(different, [(1, 2)], 2)
-    assert backend.builds == 2
-    assert result_c[(1, 2)] == 0
-
-
-def test_vertical_backend_id_memo_pins_list_objects(market_db):
-    """The id-keyed digest memo must hold a reference to the list object:
-    if it did not, the id could be recycled by a new list and the memo
-    would return the *old* list's digest for it."""
-    backend = VerticalBackend()
-    backend.count(market_db.transactions, [(1, 2)], 2)
-    memo_object, digest = backend._digests[id(market_db.transactions)]
-    assert memo_object is market_db.transactions
-    assert digest in backend._cache
-
-
-def test_vertical_backend_cache_is_bounded():
-    backend = VerticalBackend(max_cached_lists=2)
-    lists = [[(1, 2)], [(1, 3)], [(2, 3)]]
-    for transactions in lists:
-        backend.count(transactions, [(1, 2)], 2)
-    assert len(backend._cache) == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -174,186 +44,18 @@ def test_backends_match_oracle_property(raw, k, name):
     if len(universe) < k:
         return
     candidates = list(combinations(universe, k))[:80]
-    backend = make_backend(name)
-    support = backend.count(transactions, candidates, k)
+    support = BACKENDS[name]().count(transactions, candidates, k)
     frozen = [frozenset(t) for t in transactions]
     for candidate in candidates:
         expected = sum(1 for t in frozen if frozenset(candidate) <= t)
         assert support[candidate] == expected, (name, candidate)
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_full_mining_identical_across_backends(market_db, name):
-    from repro.mining.apriori import mine_frequent
-
-    reference = mine_frequent(market_db.transactions, range(1, 7), 2)
-    other = mine_frequent(
-        market_db.transactions, range(1, 7), 2, backend=name
-    )
-    assert other.all_sets() == reference.all_sets()
-
-
-def test_optimizer_accepts_backend(market_catalog, market_db):
-    from repro.core.optimizer import CFQOptimizer
-    from repro.core.query import CFQ
-    from repro.db.domain import Domain
-
-    item = Domain.items(market_catalog)
-    cfq = CFQ(domains={"S": item, "T": item}, minsup=0.2,
-              constraints=["max(S.Price) <= min(T.Price)"])
-    hybrid = CFQOptimizer(cfq).execute(market_db)
-    for name in sorted(BACKENDS):
-        run = CFQOptimizer(cfq).execute(market_db, backend=name)
-        assert set(run.pairs()) == set(hybrid.pairs()), name
-
-
-def test_parallel_backend_lifecycle_nesting(market_db):
-    """open()/close() nest; the pool dies only at the outermost close."""
-    backend = ParallelBackend(workers=2, shard_threshold=0)
-    candidates = [(1, 2), (4, 5)]
-    with backend:
-        backend.count(market_db.transactions, candidates, 2)
-        assert backend.pool_open
-        with backend:  # nested scope must not tear down the pool
-            backend.count(market_db.transactions, candidates, 2)
-        assert backend.pool_open
-        assert backend.stats.pool_forks == 1
-    assert not backend.pool_open
-    assert backend.stats.pool_forks == 1
-
-
-def test_parallel_backend_reopens_after_close(market_db):
-    """A second run (new scope) forks a fresh pool."""
-    backend = ParallelBackend(workers=2, shard_threshold=0)
-    with backend:
-        backend.count(market_db.transactions, [(1, 2)], 2)
-    with backend:
-        backend.count(market_db.transactions, [(1, 2)], 2)
-    assert backend.stats.pool_forks == 2
-
-
-def test_backend_scope_is_duck_typed():
-    """Backends without a lifecycle (and None) pass through untouched."""
-    hybrid = HybridBackend()
-    with backend_scope(hybrid) as scoped:
-        assert scoped is hybrid
-    with backend_scope(None) as scoped:
-        assert scoped is None
-    with backend_scope("hybrid") as scoped:  # names are left unresolved
-        assert scoped == "hybrid"
-
-
-def test_parallel_backend_rejects_bad_parameters():
-    with pytest.raises(ExecutionError):
-        ParallelBackend(workers=2, shard_timeout=0)
-    with pytest.raises(ExecutionError):
-        ParallelBackend(workers=2, max_retries=-1)
-
-
 def test_backends_meter_work(market_db):
     for name in sorted(BACKENDS):
         counters = OpCounters()
-        make_backend(name).count(
+        BACKENDS[name]().count(
             market_db.transactions, [(1, 2), (4, 5)], 2, counters, "S"
         )
         assert counters.subset_tests > 0, name
         assert counters.support_counted[("S", 2)] == 2
-
-
-# ---------------------------------------------------------------------------
-# Pool teardown under inherited signal handlers
-# ---------------------------------------------------------------------------
-#
-# The CLI forks the worker pool inside a ``RunGuard.signals()`` scope, so
-# workers inherit whatever SIGTERM/SIGINT handlers are installed at fork
-# time.  The guard's handler only sets a cooperative-cancel flag — a worker
-# inheriting it would survive ``Pool.terminate()``'s SIGTERM and wedge the
-# shutdown in its unbounded worker joins.  ``_pool_worker_init`` resets the
-# dispositions in each worker, and ``_shutdown_pool`` bounds the teardown
-# and hard-kills anything that still refuses to die.
-
-
-def _pool_workers(backend):
-    return list(backend._pool._pool)
-
-
-def test_pool_workers_die_on_sigterm_despite_guard_handlers(market_db):
-    import os
-    import signal as _signal
-    import time as _time
-
-    from repro.runtime.guard import RunGuard
-
-    backend = ParallelBackend(workers=2, shard_threshold=0)
-    guard = RunGuard()
-    with guard.signals():
-        with backend:
-            backend.count(market_db.transactions, [(1, 2)], 2)
-            workers = _pool_workers(backend)
-            assert workers
-            victim = workers[0]
-            os.kill(victim.pid, _signal.SIGTERM)
-            deadline = _time.monotonic() + 10.0
-            while victim.exitcode is None and _time.monotonic() < deadline:
-                _time.sleep(0.05)
-            # SIG_DFL was restored in the worker, so the SIGTERM that
-            # Pool.terminate() relies on actually kills it.
-            assert victim.exitcode is not None
-    assert not backend.pool_open
-
-
-def test_pool_workers_ignore_sigint(market_db):
-    import os
-    import signal as _signal
-    import time as _time
-
-    backend = ParallelBackend(workers=2, shard_threshold=0)
-    with backend:
-        expected = backend.count(market_db.transactions, [(1, 2)], 2)
-        for worker in _pool_workers(backend):
-            os.kill(worker.pid, _signal.SIGINT)
-        _time.sleep(0.3)
-        # A ctrl-C hits the whole foreground process group; workers must
-        # leave it to the parent's guard and keep serving shards.
-        assert all(w.exitcode is None for w in _pool_workers(backend))
-        assert backend.count(market_db.transactions, [(1, 2)], 2) == expected
-    assert not backend.pool_open
-
-
-def test_shutdown_pool_bounds_a_wedged_terminate(monkeypatch):
-    """terminate() that never returns is abandoned after JOIN_TIMEOUT."""
-    import threading as _threading
-    import time as _time
-
-    class _Worker:
-        def __init__(self, release):
-            self._release = release
-            self.kill_calls = 0
-
-        def kill(self):
-            self.kill_calls += 1
-            self._release.set()
-
-    class _WedgedPool:
-        def __init__(self):
-            self._release = _threading.Event()
-            self._pool = [_Worker(self._release)]
-
-        def terminate(self):
-            # Blocks exactly like Pool._terminate_pool joining a worker
-            # that survived SIGTERM — until kill() frees it.
-            self._release.wait(30.0)
-
-        def join(self):
-            pass
-
-    monkeypatch.setattr(ParallelBackend, "JOIN_TIMEOUT", 0.2)
-    backend = ParallelBackend(workers=2)
-    wedged = _WedgedPool()
-    backend._pool = wedged
-    start = _time.monotonic()
-    backend._shutdown_pool()
-    elapsed = _time.monotonic() - start
-    assert backend._pool is None
-    assert wedged._pool[0].kill_calls == 1
-    assert elapsed < 5.0

@@ -76,40 +76,6 @@ def test_bad_query_exit_code(capsys):
 QUERY = "{(S, T) | max(S.Price) <= min(T.Price)}"
 
 
-@pytest.mark.parametrize("backend", ["hybrid", "hashtree", "vertical"])
-def test_query_backend_flag(capsys, backend):
-    code = main(
-        ["query", QUERY, "--transactions", "200", "--backend", backend]
-    )
-    assert code == 0
-    assert "valid pairs" in capsys.readouterr().out
-
-
-def test_query_parallel_backend_with_workers(capsys):
-    code = main(
-        [
-            "query", QUERY,
-            "--transactions", "200",
-            "--backend", "parallel",
-            "--workers", "2",
-            "--explain",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "valid pairs" in out
-    assert "parallel counting:" in out
-
-
-def test_query_parallel_matches_hybrid(capsys):
-    argv = ["query", QUERY, "--transactions", "200", "--pairs", "5"]
-    assert main(argv + ["--backend", "hybrid"]) == 0
-    hybrid_out = capsys.readouterr().out
-    assert main(argv + ["--backend", "parallel", "--workers", "2"]) == 0
-    parallel_out = capsys.readouterr().out
-    assert parallel_out == hybrid_out
-
-
 def test_query_pairs_zero_prints_no_pairs(capsys):
     code = main(["query", QUERY, "--transactions", "200", "--pairs", "0"])
     assert code == 0
@@ -126,66 +92,20 @@ def test_negative_pairs_rejected(capsys, command):
     assert "must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_query_invalid_worker_count(capsys, workers):
-    code = main(
-        ["query", QUERY, "--backend", "parallel", "--workers", workers]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "workers must be >= 1" in err
-
-
-def test_query_workers_require_parallel_backend(capsys):
-    code = main(["query", QUERY, "--workers", "2"])
-    assert code == 2
-    assert "--backend parallel" in capsys.readouterr().err
-
-
-def test_query_unknown_backend_clean_error(capsys):
-    """Unknown backends exit 2 with an 'error:' line, not a traceback."""
-    code = main(["query", QUERY, "--backend", "quantum"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "unknown counting backend" in err
-
-
-@pytest.mark.parametrize("spec", ["parallel:", "parallel:abc"])
-def test_query_malformed_parallel_spec_exit_code(capsys, spec):
-    code = main(["query", QUERY, "--backend", spec])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "invalid worker count" in err
-
-
-def test_query_parallel_spec_zero_workers_exit_code(capsys):
-    code = main(["query", QUERY, "--backend", "parallel:0"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "workers must be >= 1" in err
-
-
-def test_query_parallel_spec_runs(capsys):
-    code = main(
-        ["query", QUERY, "--transactions", "200", "--backend", "parallel:2"]
-    )
-    assert code == 0
-    assert "valid pairs" in capsys.readouterr().out
-
-
-def test_query_explain_reports_pool_lifecycle(capsys):
-    code = main(
-        [
-            "query", QUERY,
-            "--transactions", "200",
-            "--backend", "parallel",
-            "--workers", "2",
-            "--explain",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "pool fork(s)" in out
+def test_backend_flags_are_rejected(capsys):
+    """One counting kernel ships, so no command takes a backend choice."""
+    for argv in (
+        ["query", QUERY, "--backend", "hybrid"],
+        ["query", QUERY, "--workers", "2"],
+        ["batch", QUERY, "--backend", "hybrid"],
+        ["serve", "--backend", "hybrid"],
+        ["experiments", "--only", "backends"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err, argv
 
 
 def test_query_trace_out_writes_valid_report(capsys, tmp_path):

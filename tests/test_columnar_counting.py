@@ -15,6 +15,8 @@ contract, and this suite holds the array code to it exactly:
   ``C(m, k) == |C| * k``;
 * **sharding** — supports and ``subset_tests`` of any CSR slicing sum to
   the serial pass;
+* **popcount** — the lookup-table fallback for numpy < 2 equals
+  ``numpy.bitwise_count``;
 * **engine** — whole optimizer runs (fig8a, fig8b, jmax, cascade,
   quickstart and a Type-domain query) produce the full
   ``OpCounters.as_dict()``, ledger and lattice state of a run on the
@@ -50,7 +52,12 @@ from repro.db.digest import transactions_digest
 from repro.db.domain import Domain, derived_type_domain
 from repro.db.stats import OpCounters
 from repro.db.transactions import TransactionDatabase
-from repro.mining.counting import WORD_BUDGET, count_candidates, count_singletons
+from repro.mining.counting import (
+    WORD_BUDGET,
+    count_candidates,
+    count_singletons,
+    popcount_words,
+)
 from repro.mining.delta import SupportIndex
 from tests.counting_oracle import (
     loop_count_candidates,
@@ -62,8 +69,8 @@ from tests.counting_oracle import (
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
-#: Item ids across every path: negative, small, and past the 2**22
-#: dense-lookup bound of the bitmap backend.
+#: Item ids across every path: negative, small, and past 2**22, where
+#: a dense item-id lookup table stops being affordable.
 HUGE = (1 << 22) + 9
 ITEM = st.one_of(
     st.integers(min_value=-4, max_value=12),
@@ -306,6 +313,17 @@ def test_support_index_matches_direct_support(transactions, probes):
         assert db.support(candidate) == expected
 
 
+def test_popcount_lut_fallback_matches_bitwise_count(monkeypatch):
+    """Old numpys lack ``bitwise_count``; the byte-LUT fallback must be
+    bit-identical to both it and the Python reference."""
+    rng = np.random.default_rng(7)
+    words = rng.integers(0, 2**64, size=(5, 9), dtype=np.uint64)
+    reference = [[bin(w).count("1") for w in row] for row in words.tolist()]
+    assert popcount_words(words).tolist() == reference
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert popcount_words(words).tolist() == reference
+
+
 # ----------------------------------------------------------------------
 # Whole engine runs: every counter and all lattice state
 # ----------------------------------------------------------------------
@@ -325,8 +343,12 @@ ENGINE_QUERIES = {
                                                     n_transactions=500)),
     "fig8b": lambda: _workload_query(fig8b_workload(40.0, n_items=120,
                                                     n_transactions=400)),
+    "fig8b-300": lambda: _workload_query(fig8b_workload(40.0, n_items=120,
+                                                        n_transactions=300)),
     "jmax": lambda: _workload_query(jmax_workload(650.0, n_transactions=200,
                                                   core_size=8)),
+    "jmax-600": lambda: _workload_query(jmax_workload(600.0, n_transactions=200,
+                                                      core_size=8)),
     "cascade": lambda: _workload_query(cascade_workload(n_transactions=600)),
     "quickstart": lambda: _workload_query(quickstart_workload(n_transactions=300)),
     "type-domain": _type_domain_query,

@@ -1,12 +1,20 @@
 """Support counting: correctness against the brute-force oracle and
 work metering."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db.stats import OpCounters
+from repro.mining.apriori import mine_frequent
+from repro.mining.backends import HybridBackend
 from repro.mining.counting import count_candidates, count_singletons, frequent_only
 from tests.conftest import brute_frequent
+
+#: The kernel, and the per-level entry point the lattice counts through.
+ENTRY_POINTS = (count_candidates, HybridBackend().count)
 
 
 def test_count_singletons(market_db):
@@ -20,21 +28,26 @@ def test_count_singletons(market_db):
 
 
 def test_count_candidates_matches_direct_support(market_db):
-    candidates = [(1, 2), (4, 5), (1, 6), (2, 3)]
-    support = count_candidates(market_db.transactions, candidates, 2)
-    for candidate in candidates:
-        assert support[candidate] == market_db.support(candidate)
+    candidates = [(1, 2), (4, 5), (1, 6), (2, 3), (3, 6)]
+    for count in ENTRY_POINTS:
+        support = count(market_db.transactions, candidates, 2)
+        for candidate in candidates:
+            assert support[candidate] == market_db.support(candidate)
 
 
-def test_count_candidates_empty():
-    assert count_candidates([(1, 2)], [], 2) == {}
+def test_count_candidates_empty(market_db):
+    for count in ENTRY_POINTS:
+        assert count([(1, 2)], [], 2) == {}
+        assert count(market_db.transactions, [], 2) == {}
 
 
 def test_count_candidates_counts_work(market_db):
-    counters = OpCounters()
-    count_candidates(market_db.transactions, [(1, 2)], 2, counters, "T")
-    assert counters.support_counted[("T", 2)] == 1
-    assert counters.subset_tests > 0
+    for count in ENTRY_POINTS:
+        for candidates in ([(1, 2)], [(1, 2), (4, 5)]):
+            counters = OpCounters()
+            count(market_db.transactions, candidates, 2, counters, "T")
+            assert counters.support_counted[("T", 2)] == len(candidates)
+            assert counters.subset_tests > 0
 
 
 def test_frequent_only():
@@ -47,9 +60,19 @@ transactions_strategy = st.lists(
     max_size=30,
 )
 
+#: A wider item universe, where the candidate list is capped.
+wide_transactions_strategy = st.lists(
+    st.lists(st.integers(min_value=0, max_value=25), min_size=0, max_size=8),
+    min_size=1,
+    max_size=30,
+)
 
-@settings(max_examples=60, deadline=None)
-@given(raw=transactions_strategy, k=st.integers(min_value=2, max_value=4))
+
+@settings(max_examples=100, deadline=None)
+@given(
+    raw=st.one_of(transactions_strategy, wide_transactions_strategy),
+    k=st.integers(min_value=2, max_value=4),
+)
 def test_count_candidates_matches_brute_force(raw, k):
     """Both counting strategies (subset enumeration and candidate scan)
     agree with the oracle for every candidate at every level."""
@@ -59,7 +82,7 @@ def test_count_candidates_matches_brute_force(raw, k):
     universe = sorted({i for t in transactions for i in t})
     if len(universe) < k:
         return
-    candidates = list(combinations(universe, k))
+    candidates = list(combinations(universe, k))[:80]
     support = count_candidates(transactions, candidates, k)
     frozen = [frozenset(t) for t in transactions]
     for candidate in candidates:
@@ -76,3 +99,24 @@ def test_singletons_match_brute_force(raw):
     oracle = brute_frequent(transactions, universe, 1, max_size=1)
     for item in universe:
         assert support[item] == oracle.get((item,), 0)
+
+
+def _random_database(seed):
+    """A randomized transaction database (deterministic per seed)."""
+    rng = random.Random(seed)
+    n_transactions = rng.randint(20, 45)
+    n_items = rng.randint(8, 14)
+    transactions = [
+        tuple(sorted(rng.sample(range(1, n_items + 1),
+                                rng.randint(0, min(7, n_items)))))
+        for __ in range(n_transactions)
+    ]
+    universe = sorted({i for t in transactions for i in t})
+    return transactions, universe, max(2, n_transactions // 8)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_full_mining_matches_oracle(seed):
+    transactions, universe, min_count = _random_database(seed)
+    oracle = brute_frequent(transactions, universe, min_count)
+    assert mine_frequent(transactions, universe, min_count).all_sets() == oracle

@@ -301,3 +301,29 @@ def test_v1_through_v4_documents_remain_readable():
         if "cache" in absent_keys:
             assert parsed.cache is None
         RunReport.validate(json.loads(json.dumps(old, default=str)))
+
+
+def test_stored_v5_document_with_parallel_stats_still_loads():
+    """Reports written while a sharded counting backend existed carry a
+    populated ``parallel_stats`` block and ``meta.backend``; new reports
+    write neither, and the reader still validates and loads the old
+    documents."""
+    result, tracer = _run()
+    document = build_run_report(result, tracer=tracer).to_dict()
+    assert "parallel_stats" not in document
+    assert "backend" not in document["meta"]
+    stored = dict(
+        document,
+        version=5,
+        meta=dict(document["meta"], backend="parallel"),
+        parallel_stats={
+            "levels": 2, "pooled_levels": 2, "max_shards": 2,
+            "pool_forks": 1, "failures": 0, "retries": 0,
+            "fallback_shards": 0, "pool_broken": False,
+        },
+    )
+    RunReport.validate(json.loads(json.dumps(stored)))
+    parsed = RunReport.from_json(json.dumps(stored))
+    assert parsed.op_counters == document["op_counters"]
+    assert parsed.answers == document["answers"]
+    assert parsed.meta["backend"] == "parallel"

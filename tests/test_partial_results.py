@@ -1,29 +1,23 @@
-"""Partial-result semantics, degenerate inputs, and cancellation under
-the parallel backend.
+"""Partial-result semantics and degenerate inputs.
 
 Complements ``test_resume_differential`` (bit-identical resume) and
 ``test_guard`` (guard unit behavior): here we assert what an
 *interrupted* run hands back — a well-labeled ``CFQResult`` whose
 partial sets are exactly the completed levels — and that the guardrail
-machinery behaves on the edges: empty databases, nothing-frequent
-thresholds, pooled shard cancellation, and pool teardown under faults.
+machinery behaves on the edges: empty databases and nothing-frequent
+thresholds.
 """
 
-import random
-import time
-from itertools import combinations
 
 import pytest
 
 from repro.core.optimizer import CFQOptimizer, mine_cfq
 from repro.core.query import CFQ
 from repro.datagen.workloads import quickstart_workload
-from repro.db.stats import OpCounters
 from repro.db.transactions import TransactionDatabase
 from repro.errors import DataError, RunInterrupted
 from repro.mining.apriori import mine_frequent
 from repro.mining.aprioriplus import apriori_plus
-from repro.mining.backends import FaultInjector, ParallelBackend
 from repro.mining.cap import cap_mine
 from repro.obs.report import RunReport, build_run_report
 from repro.runtime.guard import RunGuard
@@ -191,131 +185,3 @@ def test_minsup_above_database_size_rejected(market_domain):
     db = TransactionDatabase([(1, 2)])
     with pytest.raises(DataError, match="minsup"):
         mine_cfq(db, _simple_cfq(market_domain, minsup=5.0))
-
-
-# ----------------------------------------------------------------------
-# Parallel backend: cancellation and teardown robustness
-# ----------------------------------------------------------------------
-def _random_level():
-    rng = random.Random(11)
-    transactions = [
-        tuple(sorted(rng.sample(range(1, 12), rng.randint(2, 6))))
-        for __ in range(40)
-    ]
-    candidates = list(combinations(range(1, 12), 2))[:50]
-    return transactions, candidates
-
-
-def test_pooled_count_cancels_on_tripped_guard():
-    transactions, candidates = _random_level()
-    backend = ParallelBackend(workers=2, shard_threshold=0)
-    guard = RunGuard(deadline_seconds=0.0).start()
-    with backend:
-        with pytest.raises(RunInterrupted):
-            backend.count(transactions, candidates, 2, OpCounters(), "S",
-                          guard=guard)
-        # Cancellation accounting + the pool was torn down (its queued
-        # tasks die with it) but NOT marked broken: a resumed run may
-        # re-fork it.
-        assert backend.stats.cancelled_levels == 1
-        assert not backend.pool_open
-        assert not backend.stats.pool_broken
-    assert "cancelled" in backend.stats.summary()
-    assert backend.stats.as_dict()["cancelled_levels"] == 1
-
-
-def test_guard_cancels_mid_hung_shard_quickly():
-    """A deadline must cut through a hung worker long before the shard
-    timeout would."""
-    transactions, candidates = _random_level()
-    backend = ParallelBackend(
-        workers=2, shard_threshold=0, shard_timeout=60.0,
-        fault_injector=FaultInjector("hang", {0, 1}, hang_seconds=30.0),
-    )
-    guard = RunGuard(deadline_seconds=0.5).start()
-    start = time.monotonic()
-    with backend:
-        with pytest.raises(RunInterrupted):
-            backend.count(transactions, candidates, 2, OpCounters(), "S",
-                          guard=guard)
-    assert time.monotonic() - start < 10.0
-    assert backend.stats.cancelled_levels == 1
-
-
-def test_unguarded_parallel_count_unaffected_by_guard_plumbing():
-    transactions, candidates = _random_level()
-    serial = ParallelBackend(workers=1)
-    pooled = ParallelBackend(workers=2, shard_threshold=0)
-    with pooled:
-        got = pooled.count(transactions, candidates, 2, OpCounters(), "S",
-                           guard=None)
-    want = serial.count(transactions, candidates, 2, OpCounters(), "S")
-    assert got == want
-    assert pooled.stats.cancelled_levels == 0
-
-
-def test_close_is_idempotent_and_reentrant():
-    backend = ParallelBackend(workers=2, shard_threshold=0)
-    transactions, candidates = _random_level()
-    with backend:
-        backend.count(transactions, candidates, 2, OpCounters(), "S")
-    assert not backend.pool_open
-    for __ in range(3):
-        backend.close()  # extra closes: no error, no effect
-    assert not backend.pool_open
-    # A fresh scope after teardown re-forks cleanly.
-    with backend:
-        backend.count(transactions, candidates, 2, OpCounters(), "S")
-    assert not backend.pool_open
-    assert backend.stats.pool_forks == 2
-
-
-def test_close_never_raises_after_worker_kills():
-    """Tear down a pool whose workers were hard-killed mid-run."""
-    transactions, candidates = _random_level()
-    backend = ParallelBackend(
-        workers=2, shard_threshold=0, shard_timeout=1.5, max_retries=0,
-        fault_injector=FaultInjector("kill", {0, 1}),
-    )
-    with backend:
-        backend.count(transactions, candidates, 2, OpCounters(), "S")
-    backend.close()  # extra close on the torn-down backend
-    assert not backend.pool_open
-
-
-def test_shutdown_survives_raising_pool(monkeypatch):
-    """terminate()/join() raising must not leak out of close()."""
-    backend = ParallelBackend(workers=2, shard_threshold=0)
-    backend.open()
-    backend._ensure_pool()
-
-    class ExplodingPool:
-        def terminate(self):
-            raise RuntimeError("already dead")
-
-        def join(self):
-            raise RuntimeError("already dead")
-
-    backend._pool = ExplodingPool()
-    backend.close()  # must swallow both
-    assert not backend.pool_open
-
-
-def test_shutdown_abandons_wedged_join(monkeypatch):
-    """A join that never returns is abandoned after JOIN_TIMEOUT."""
-    backend = ParallelBackend(workers=2, shard_threshold=0)
-    backend.JOIN_TIMEOUT = 0.3
-    backend.open()
-
-    class WedgedPool:
-        def terminate(self):
-            pass
-
-        def join(self):
-            time.sleep(30.0)
-
-    backend._pool = WedgedPool()
-    start = time.monotonic()
-    backend.close()
-    assert time.monotonic() - start < 5.0
-    assert not backend.pool_open

@@ -86,7 +86,7 @@ def test_result_key_sees_engine_options(workload):
     assert result_key(cfq, workload.db, _options(use_jmax=False)) != default
     assert result_key(cfq, workload.db, _options(reduction_rounds=2)) != default
     # Non-answer-affecting keys are ignored entirely.
-    assert options_fingerprint(_options(backend="vertical")) == (
+    assert options_fingerprint(_options(tracer=object())) == (
         options_fingerprint(_options())
     )
 

@@ -1,14 +1,6 @@
 """Unit tests for the ccc operation counters."""
 
-import pytest
-
-from repro.db.stats import (
-    CostWeights,
-    OpCounters,
-    ParallelStats,
-    ScanStats,
-    merge_shard_counters,
-)
+from repro.db.stats import CostWeights, OpCounters, ScanStats
 
 
 def test_record_counted_accumulates():
@@ -77,137 +69,3 @@ def test_scan_stats_merged():
     merged = ScanStats(1, 10).merged(ScanStats(2, 5))
     assert merged.scans == 3
     assert merged.tuples_read == 15
-
-
-def _shard_counters(work: int) -> OpCounters:
-    counters = OpCounters()
-    counters.record_counted("S", 2, 10)
-    counters.subset_tests = work
-    return counters
-
-
-def test_merge_shard_counters_sums_work_once_ledger():
-    merged = merge_shard_counters([_shard_counters(7), _shard_counters(5)])
-    assert merged.subset_tests == 12
-    # The candidate ledger is NOT summed: both shards counted the same sets.
-    assert merged.support_counted == {("S", 2): 10}
-
-
-def test_merge_shard_counters_rejects_disagreeing_ledgers():
-    other = OpCounters()
-    other.record_counted("S", 2, 3)
-    with pytest.raises(ValueError):
-        merge_shard_counters([_shard_counters(1), other])
-
-
-def test_parallel_stats_accumulates():
-    stats = ParallelStats()
-    stats.record_level([10, 10], [0.2, 0.4], 0.05, in_process=False)
-    stats.record_level([20], [0.1], 0.0, in_process=True)
-    assert stats.total_shard_seconds == pytest.approx(0.7)
-    assert stats.total_merge_seconds == pytest.approx(0.05)
-    # Critical path: slowest shard plus merge, per level.
-    assert stats.total_span_seconds == pytest.approx(0.45 + 0.1)
-    summary = stats.as_dict()
-    assert summary["levels"] == 2
-    assert summary["max_shards"] == 2
-    assert summary["pooled_levels"] == 1
-    assert "sharded levels" in stats.summary()
-
-
-def test_parallel_stats_failure_accounting():
-    stats = ParallelStats()
-    stats.record_fork()
-    stats.record_level(
-        [10, 10], [0.2, 0.4], 0.05, in_process=False,
-        failures=2, retries=1, fallback_shards=1,
-    )
-    stats.record_failure("shard 1/2: RuntimeError: injected")
-    summary = stats.as_dict()
-    assert summary["pool_forks"] == 1
-    assert summary["failures"] == 2
-    assert summary["retries"] == 1
-    assert summary["fallback_shards"] == 1
-    assert summary["pool_broken"] is False
-    rendered = stats.summary()
-    assert "1 pool fork(s)" in rendered
-    assert "2 shard failure(s)" in rendered
-    assert "1 serial fallback(s)" in rendered
-
-
-def test_parallel_stats_broken_pool():
-    stats = ParallelStats()
-    stats.mark_broken("every shard of a level fell back")
-    assert stats.pool_broken
-    assert stats.as_dict()["pool_broken"] is True
-    assert any("pool broken" in line for line in stats.failure_log)
-    assert "pool broken" in stats.summary()
-
-
-def test_parallel_stats_clean_summary_has_no_failure_noise():
-    stats = ParallelStats()
-    stats.record_fork()
-    stats.record_level([10], [0.1], 0.0, in_process=False)
-    rendered = stats.summary()
-    assert "failure" not in rendered
-    assert "fallback" not in rendered
-
-
-def test_merge_shard_counters_same_total_mismatch_needs_debug(monkeypatch):
-    """Ledgers with equal totals but different (var, level) keys pass the
-    cheap always-on check; the full equality check is gated behind
-    REPRO_DEBUG=1."""
-    a = OpCounters()
-    a.record_counted("S", 2, 10)
-    b = OpCounters()
-    b.record_counted("T", 3, 10)  # same total_counted, different key
-    monkeypatch.delenv("REPRO_DEBUG", raising=False)
-    merged = merge_shard_counters([a, b])
-    assert merged.total_counted == 10
-    monkeypatch.setenv("REPRO_DEBUG", "1")
-    with pytest.raises(ValueError):
-        merge_shard_counters([a, b])
-
-
-def test_merge_shard_counters_total_mismatch_always_raises(monkeypatch):
-    monkeypatch.delenv("REPRO_DEBUG", raising=False)
-    other = OpCounters()
-    other.record_counted("S", 2, 3)
-    with pytest.raises(ValueError):
-        merge_shard_counters([_shard_counters(1), other])
-
-
-def test_failure_log_truncation_cap():
-    stats = ParallelStats()
-    for i in range(ParallelStats.MAX_FAILURE_LOG + 25):
-        stats.record_failure(f"shard failure {i}")
-    assert len(stats.failure_log) == ParallelStats.MAX_FAILURE_LOG
-    assert stats.failure_log_dropped == 25
-    assert stats.as_dict()["failure_log_dropped"] == 25
-    assert "dropped" in stats.summary()
-
-
-def test_mark_broken_respects_failure_log_cap():
-    stats = ParallelStats()
-    for i in range(ParallelStats.MAX_FAILURE_LOG):
-        stats.record_failure(f"shard failure {i}")
-    stats.mark_broken("pool died late")
-    assert stats.pool_broken
-    assert len(stats.failure_log) == ParallelStats.MAX_FAILURE_LOG
-    assert stats.failure_log_dropped == 1
-
-
-def test_parallel_stats_summary_as_dict_round_trip():
-    """Every quantity summary() renders comes from as_dict(), so the two
-    views can never drift apart."""
-    stats = ParallelStats()
-    stats.record_fork()
-    stats.record_level(
-        [10, 10], [0.2, 0.4], 0.05, in_process=False,
-        failures=2, retries=1, fallback_shards=1,
-    )
-    d = stats.as_dict()
-    rendered = stats.summary()
-    for key in ("levels", "pooled_levels", "max_shards", "pool_forks",
-                "failures", "retries", "fallback_shards"):
-        assert str(d[key]) in rendered
